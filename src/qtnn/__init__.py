@@ -17,7 +17,7 @@ from .activation import (
     softmax,
     softmax_crossentropy,
 )
-from .numerics import Rng, dft_magnitude, matmul, solve_spd, spectral_radius
+from .numerics import Rng, dft_magnitude, solve_spd, spectral_radius
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "softmax_crossentropy",
     "harmonic_spectrum",
     "Rng",
-    "matmul",
     "solve_spd",
     "spectral_radius",
     "dft_magnitude",

@@ -51,6 +51,9 @@ _SINH_ARG_LIMIT = 350.0
 _VALUE_WINDOW = 1e-12
 # wider window for the derivative, where cancellation sets in sooner
 _DERIV_WINDOW = 1e-9
+# energies below this fraction of v0 take the E = 0 right-limit slope: there
+# it equals dT/dE to rounding, while 4 E^2 in the closed form underflows
+_ZERO_WINDOW = 1e-20
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,12 @@ class Activation:
         )
 
 
-def _transmission_pieces(energy, p, want_derivative):
-    """T(E) and optionally dT/dE for an array of energies >= 0."""
+def _transmission_pieces(energy, p, want_derivative, rel_window):
+    """T(E) and optionally dT/dE for an array of energies >= 0.
+
+    Energies within ``rel_window * v0`` of the barrier top take the E = v0
+    limit form.
+    """
     e = np.asarray(energy, dtype=np.float64)
     if np.any(e < 0.0):
         raise InputError("energy must be non-negative")
@@ -139,7 +146,7 @@ def _transmission_pieces(energy, p, want_derivative):
 
     v0, a, m, hbar = p.v0, p.a, p.m, p.hbar
     c = 2.0 * m / hbar**2  # kappa^2 = c * |E - v0|
-    window = (_DERIV_WINDOW if want_derivative else _VALUE_WINDOW) * v0
+    window = rel_window * v0
 
     below = (e > 0.0) & (e < v0 - window)
     above = e > v0 + window
@@ -150,7 +157,9 @@ def _transmission_pieces(energy, p, want_derivative):
         k1a = np.sqrt(c * (v0 - eb)) * a
         # T underflows below ~1e-300 past this point; report 0 rather than overflow
         safe = k1a < _SINH_ARG_LIMIT
-        with np.errstate(over="ignore"):
+        # energies below _ZERO_WINDOW * v0 may give inf/nan slopes here; the
+        # E = 0 branch at the end overwrites them
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             g = v0**2 / (4.0 * eb * (v0 - eb))
             sh = np.sinh(np.minimum(k1a, _SINH_ARG_LIMIT))
             s = sh * sh
@@ -189,63 +198,73 @@ def _transmission_pieces(energy, p, want_derivative):
             )
 
     if want_derivative:
-        zero = e == 0.0
-        if zero.any():
+        near_zero = e < _ZERO_WINDOW * v0
+        if near_zero.any():
             # right-limit slope: T ~ 4 E / (v0 sinh^2(a sqrt(2 m v0)/hbar))
             s0 = np.sinh(min(np.sqrt(c * v0) * a, _SINH_ARG_LIMIT)) ** 2
-            dt[zero] = 4.0 / (v0 * s0)
+            dt[near_zero] = 4.0 / (v0 * s0)
     return t, dt
 
 
 def qt_transmission(energy, params=None):
     """Transmission coefficient T(E) in [0, 1]; scalar in, scalar out."""
     p = params if params is not None else BarrierParams()
-    t, _ = _transmission_pieces(energy, p, want_derivative=False)
+    t, _ = _transmission_pieces(energy, p, False, _VALUE_WINDOW)
     return float(t) if np.ndim(energy) == 0 else t
 
 
 def qt_transmission_derivative(energy, params=None):
-    """Closed-form dT/dE; at E = v0 the common one-sided limit, at 0 the right limit."""
+    """Closed-form dT/dE; at E = v0 the common one-sided limit, at E = 0 the right limit.
+
+    Energies below ``1e-20 * v0`` also take the right limit, which equals the
+    closed form there to rounding while the closed form underflows.
+    """
     p = params if params is not None else BarrierParams()
-    _, dt = _transmission_pieces(energy, p, want_derivative=True)
+    _, dt = _transmission_pieces(energy, p, True, _DERIV_WINDOW)
     return float(dt) if np.ndim(energy) == 0 else dt
 
 
-def _qt_elementwise(x, p):
+def _qt_elementwise(x, p, grad):
+    # value-only calls keep the derivative's window around v0, so the
+    # values do not depend on whether the derivative was asked for
     if p.mode == "absolute":
         energy = p.ampl * np.abs(x)
-        t, dt = _transmission_pieces(energy, p, want_derivative=True)
-        return t, p.ampl * np.sign(x) * dt
+        t, dt = _transmission_pieces(energy, p, grad, _DERIV_WINDOW)
+        return t, (p.ampl * np.sign(x) * dt if grad else None)
     energy = p.ampl * np.maximum(x, 0.0)
-    t, dt = _transmission_pieces(energy, p, want_derivative=True)
+    t, dt = _transmission_pieces(energy, p, grad, _DERIV_WINDOW)
     active = x > 0.0
     if p.mode == "bipolar":
         y = np.where(active, 2.0 * t - 1.0, -1.0)
-        dy = np.where(active, 2.0 * p.ampl * dt, 0.0)
+        dy = np.where(active, 2.0 * p.ampl * dt, 0.0) if grad else None
     else:
         y = np.where(active, t, 0.0)
-        dy = np.where(active, p.ampl * dt, 0.0)
+        dy = np.where(active, p.ampl * dt, 0.0) if grad else None
     return y, dy
 
 
-def activate(x, act):
-    """Apply an activation elementwise, returning (value, derivative)."""
+def activate(x, act, grad=True):
+    """Apply an activation elementwise, returning (value, derivative).
+
+    With ``grad=False`` the derivative is not computed and comes back as
+    None; the values are the same either way.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise InputError("activation input contains NaN or Inf")
     if act.kind == "qt":
-        return _qt_elementwise(x, act.barrier)
+        return _qt_elementwise(x, act.barrier, grad)
     if act.kind == "relu":
-        return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)
+        return np.maximum(x, 0.0), ((x > 0.0).astype(np.float64) if grad else None)
     if act.kind == "sigmoid":
         with np.errstate(over="ignore"):  # exp overflow saturates to y = 0
             y = 1.0 / (1.0 + np.exp(-x))
-        return y, y * (1.0 - y)
+        return y, (y * (1.0 - y) if grad else None)
     if act.kind == "tanh":
         y = np.tanh(x)
-        return y, 1.0 - y * y
+        return y, (1.0 - y * y if grad else None)
     # identity
-    return x.copy(), np.ones_like(x)
+    return x.copy(), (np.ones_like(x) if grad else None)
 
 
 def softmax(logits):
@@ -311,7 +330,7 @@ def harmonic_spectrum(act, f0=16.0, fs=1024.0, n=1024, threshold_db=-70.0):
             f"f0*n/fs must be a positive integer number of periods, got {cycles}"
         )
     t = np.arange(n) / fs
-    y, _ = activate(np.sin(2.0 * np.pi * f0 * t), act)
+    y, _ = activate(np.sin(2.0 * np.pi * f0 * t), act, grad=False)
     mag = dft_magnitude(y)
     freqs = np.arange(n // 2 + 1) * (fs / n)
     reference = mag[1:].max()

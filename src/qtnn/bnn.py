@@ -89,7 +89,8 @@ def bnn_init(n_features, n_hidden, n_classes, hidden_act, rng, std_init=0.01, n_
 
 def _forward_with_weights(model, x, w1s, w2s, onehot=None):
     z1 = x @ w1s + model.b1
-    h, dh = activate(z1, model.hidden_act)
+    # prediction (no onehot) never reads dh
+    h, dh = activate(z1, model.hidden_act, grad=onehot is not None)
     logits = h @ w2s + model.b2
     cache = {"x": x, "h": h, "dh": dh, "w2s": w2s}
     if onehot is None:
@@ -101,9 +102,10 @@ def _forward_with_weights(model, x, w1s, w2s, onehot=None):
 def bnn_sample_forward(model, x, rng, onehot=None):
     """One stochastic forward pass: draw eps per weight entry, then run.
 
-    Returns (probs, cache, sampled) where sampled is the (w1, w2) pair that
-    was actually used; the draw order is all of eps_1 (row-major) followed
-    by all of eps_2.
+    Returns (probs, cache, sampled, loss, dlogits) where sampled is the
+    (w1, w2) pair that was actually used; the draw order is all of eps_1
+    (row-major) followed by all of eps_2.  Without ``onehot`` the loss,
+    dlogits and the cached activation derivative ``cache["dh"]`` are None.
     """
     x = as_matrix(x, "x", allow_vector=True)
     if x.shape[1] != model.w1_mean.shape[0]:

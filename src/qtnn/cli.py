@@ -388,7 +388,6 @@ def _cmd_esn(args, argv):
     esn_fit(model, train)
     forecast = esn_free_run(model, train, horizon)
     finite = np.isfinite(forecast).all()
-    mse_500 = mse_metric(forecast[:500], target[:500]) if finite else float("inf")
     mse_full = mse_metric(forecast, target) if finite else float("inf")
     nmse_full = nmse_metric(forecast, target) if finite else float("inf")
     artifacts = []
@@ -398,18 +397,17 @@ def _cmd_esn(args, argv):
             for t in range(horizon):
                 fh.write(f"{t},{target[t]:.17g},{forecast[t]:.17g}\n")
         artifacts.append(cfg["forecast_csv"])
+    metrics = {"act": act.label(), "rho": cfg["rho"], "lambda": cfg["ridge"]}
+    if horizon >= 500:  # a shorter forecast has no 500-step window to score
+        metrics["mse_500"] = (
+            mse_metric(forecast[:500], target[:500]) if finite else float("inf"))
+    metrics[f"mse_{horizon}"] = mse_full
+    metrics[f"nmse_{horizon}"] = nmse_full
     report = {
         "command": argv,
         "config": cfg,
         "seed": int(cfg["seed"]),
-        "metrics": {
-            "act": act.label(),
-            "rho": cfg["rho"],
-            "lambda": cfg["ridge"],
-            "mse_500": mse_500,
-            f"mse_{horizon}": mse_full,
-            f"nmse_{horizon}": nmse_full,
-        },
+        "metrics": metrics,
         "artifacts": artifacts,
     }
     return report, (args.out or "esn_report.json")

@@ -102,7 +102,7 @@ def esn_build(
 
 def _drive(model, h, u):
     pre = model.w_in[:, 0] + model.w_in[:, 1:] @ np.atleast_1d(u) + model.w_res @ h
-    return activate(pre, model.act)[0]
+    return activate(pre, model.act, grad=False)[0]
 
 
 def ridge_readout(states, targets, ridge_lambda):

@@ -3,9 +3,9 @@
 Everything in this package moves through plain 2-D ``numpy.ndarray`` objects
 of ``float64`` in row-major (C) order; helpers here validate that convention
 at the API boundary.  The module also provides the seeded generator used for
-every random draw in the package, an SPD solver built on an explicit Cholesky
-factorization, a power-iteration spectral-radius estimate and a radix-2 FFT
-magnitude spectrum.
+every random draw in the package, an SPD solver built on LAPACK's Cholesky
+factorization plus one step of iterative refinement, a power-iteration
+spectral-radius estimate and a radix-2 FFT magnitude spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "SingularMatrixError",
     "InputError",
     "as_matrix",
-    "matmul",
     "cholesky",
     "solve_spd",
     "spectral_radius",
@@ -60,45 +59,42 @@ def as_matrix(a, name="matrix", allow_vector=False):
     return np.ascontiguousarray(m)
 
 
-def matmul(a, b):
-    """Matrix product with explicit conformance checking.
-
-    Accumulation is delegated to BLAS; for a fixed thread count the result
-    is deterministic run to run.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def cholesky(a):
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
-    Column-by-column outer-product form; raises :class:`SingularMatrixError`
-    naming the first non-positive pivot.
+    LAPACK's factorization through ``np.linalg.cholesky``; only the lower
+    triangle of ``a`` is read.  Raises :class:`SingularMatrixError` naming
+    the first non-positive pivot.
     """
     a = as_matrix(a, "A")
     n, m = a.shape
     if n != m:
         raise ShapeError(f"A must be square, got {n}x{m}")
-    low = np.tril(a)
-    for k in range(n):
-        pivot = low[k, k]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise SingularMatrixError(k, pivot)
-        root = np.sqrt(pivot)
-        low[k, k] = root
-        if k + 1 < n:
-            col = low[k + 1 :, k] / root
-            low[k + 1 :, k] = col
-            # rank-1 downdate of the trailing submatrix; only its lower part
-            # is ever read, the upper scratch is dropped on return
-            low[k + 1 :, k + 1 :] -= np.outer(col, col)
-    return np.tril(low)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(*_first_bad_pivot(a)) from None
+
+
+def _first_bad_pivot(a):
+    """(index, value) of the first pivot at which ``a``'s factorization fails.
+
+    LAPACK reports only that the factorization failed, so the order of the
+    first leading block that is not positive definite is found by bisection
+    over factorizations of leading blocks; the pivot value is the Schur
+    complement of the block before it.  Runs only on the error path.
+    """
+    good, bad, low = 0, a.shape[0], np.empty((0, 0))
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            low = np.linalg.cholesky(a[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    k = bad - 1
+    w = np.linalg.solve(low, a[k, :k]) if k else np.empty(0)
+    return k, float(a[k, k] - w @ w)
 
 
 def _forward_sub(low, b):
@@ -126,7 +122,10 @@ def solve_spd(a, b, sym_tol=1e-12):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
     A must be symmetric to within ``sym_tol`` (relative to its largest
-    entry).  Raises :class:`SingularMatrixError` on a non-positive pivot.
+    entry).  After the two triangular solves, one step of fixed-precision
+    iterative refinement (X += solve(B - A X)) takes the residual of the
+    first solution back through the same factor.  Raises
+    :class:`SingularMatrixError` on a non-positive pivot.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -139,8 +138,8 @@ def solve_spd(a, b, sym_tol=1e-12):
     if scale > 0 and np.abs(a - a.T).max() > sym_tol * scale:
         raise InputError("A is not symmetric within tolerance")
     low = cholesky(a)
-    y = _forward_sub(low, b)
-    return _backward_sub_t(low, y)
+    x = _backward_sub_t(low, _forward_sub(low, b))
+    return x + _backward_sub_t(low, _forward_sub(low, b - a @ x))
 
 
 def spectral_radius(w, iters=1000):
@@ -228,16 +227,15 @@ _MASK64 = (1 << 64) - 1
 
 
 def _splitmix64_stream(seed, count):
-    """First ``count`` outputs of a splitmix64 sequence started at ``seed``."""
-    out = np.empty(count, dtype=np.uint64)
-    state = seed & _MASK64
-    for i in range(count):
-        state = (state + _GOLDEN) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out[i] = z ^ (z >> 31)
-    return out
+    """First ``count`` outputs of a splitmix64 sequence started at ``seed``.
+
+    Output i mixes the state seed + (i + 1) * GOLDEN, so all outputs are
+    computed at once; uint64 array arithmetic wraps modulo 2^64 silently.
+    """
+    z = _U64(seed & _MASK64) + np.arange(1, count + 1, dtype=np.uint64) * _U64(_GOLDEN)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
 
 
 class Rng:

@@ -82,18 +82,23 @@ def _check_sequence(model, seq):
     return seq
 
 
-def _unroll(model, seq):
-    """Forward through time, caching what BPTT needs."""
+def _unroll(model, seq, grad=True):
+    """Forward through time, caching what BPTT needs.
+
+    With ``grad`` off the activation derivatives are skipped and ``dacts``
+    is None, for callers that only read the states and logits.
+    """
     steps = len(seq)
     n_hidden = model.n_hidden
     states = np.zeros((steps + 1, n_hidden))
-    dacts = np.zeros((steps, n_hidden))
+    dacts = np.zeros((steps, n_hidden)) if grad else None
     for t, token in enumerate(seq):
         drive = model.wx[token] if model.embed is None else model.embed[token] @ model.wx
         z = drive + states[t] @ model.wh + model.bh[0]
-        h, dh = activate(z, model.hidden_act)
+        h, dh = activate(z, model.hidden_act, grad=grad)
         states[t + 1] = h
-        dacts[t] = dh
+        if grad:
+            dacts[t] = dh
     logits = states[-1] @ model.wy + model.by[0]
     return states, dacts, logits
 
@@ -103,7 +108,7 @@ def rnn_forward(model, seq):
     from .activation import softmax
 
     seq = _check_sequence(model, seq)
-    states, _, logits = _unroll(model, seq)
+    states, _, logits = _unroll(model, seq, grad=False)
     return softmax(logits), states[1:]
 
 
@@ -182,7 +187,7 @@ def rnn_evaluate(model, corpus):
     total_loss = 0.0
     for seq, label in zip(corpus.phrases, corpus.labels):
         seq = _check_sequence(model, seq)
-        _, _, logits = _unroll(model, seq)
+        _, _, logits = _unroll(model, seq, grad=False)
         onehot = np.zeros((1, model.wy.shape[1]))
         onehot[0, label] = 1.0
         probs, loss, _ = softmax_crossentropy(logits[None, :], onehot)

@@ -125,7 +125,11 @@ class TestTransmissionProperties:
 
     def test_derivative_at_zero_right_limit(self):
         expected = 4.0 / (2.0 * np.sinh(np.sqrt(4.0)) ** 2)
-        assert qt_transmission_derivative(0.0, UNIT) == pytest.approx(expected, rel=1e-12)
+        # 4 E^2 underflows at the positive energies; they take the same limit
+        for e in (0.0, 5e-324, 1e-310, 1e-160):
+            got = qt_transmission_derivative(e, UNIT)
+            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(0.152044, rel=1e-5)
 
     def test_bad_params_rejected(self):
         with pytest.raises(InputError):
@@ -180,6 +184,37 @@ class TestActivate:
         _, dy = activate(x, act)
         fd = (activate(x + h, act)[0] - activate(x - h, act)[0]) / (2 * h)
         assert np.max(np.abs(dy - fd)) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["rectified", "absolute", "bipolar"])
+    def test_tiny_inputs_take_zero_limit_slope(self, mode):
+        slope = 4.0 / (2.0 * np.sinh(2.0) ** 2)
+        scale = {"rectified": 1.0, "absolute": 1.0, "bipolar": 2.0}[mode]
+        x = np.array([5e-324, 1e-310, 1e-160])
+        _, dy = activate(x, Activation.qt(mode=mode))
+        assert np.allclose(dy, scale * slope, rtol=1e-12)
+        if mode == "absolute":
+            _, dy_neg = activate(-x, Activation.qt(mode=mode))
+            assert np.array_equal(dy_neg, -dy)
+
+    @pytest.mark.parametrize(
+        "act",
+        [Activation.relu(), Activation.sigmoid(), Activation.tanh(), Activation.identity()]
+        + [Activation.qt(mode=mode, ampl=ampl)
+           for mode in ("rectified", "absolute", "bipolar") for ampl in (1.0, 2.0, 5.0)],
+        ids=lambda act: act.label(),
+    )
+    def test_value_only_matches_full_call(self, act):
+        ampl = act.barrier.ampl if act.kind == "qt" else 1.0
+        offsets = np.array([0.0, 5e-13, 5e-10, 2e-9])
+        near_top = 2.0 * np.concatenate([1.0 + offsets, 1.0 - offsets]) / ampl
+        x = np.concatenate([
+            np.random.default_rng(17).uniform(-12.0, 12.0, 2000),
+            near_top, -near_top, [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+        ])
+        y_full, _ = activate(x, act)
+        y, dy = activate(x, act, grad=False)
+        assert dy is None
+        assert y.tobytes() == y_full.tobytes()
 
     def test_preserves_shape(self):
         x = np.arange(12.0).reshape(3, 4) - 5.0

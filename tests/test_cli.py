@@ -178,10 +178,23 @@ class TestEsnCommand:
                      "--out", str(rep)])
         assert code == EXIT_OK
         doc = read_report(rep)
-        assert "mse_500" in doc["metrics"]
+        assert "mse_100" in doc["metrics"] and "nmse_100" in doc["metrics"]
         lines = csv_out.read_text().splitlines()
         assert lines[0] == "t,target,prediction"
         assert len(lines) == 101
+
+    def test_mse_500_only_with_500_step_horizon(self, tmp_path):
+        rep = tmp_path / "esn.json"
+        base = ["esn", "--n", "80", "--rho", "0.9", "--train", "400", "--washout", "40",
+                "--seed", "4", "--out", str(rep)]
+        assert main(base + ["--horizon", "50"]) == EXIT_OK
+        metrics = read_report(rep)["metrics"]
+        assert "mse_500" not in metrics
+        assert "mse_50" in metrics and "nmse_50" in metrics
+        assert main(base + ["--horizon", "600"]) == EXIT_OK
+        metrics = read_report(rep)["metrics"]
+        assert "mse_500" in metrics and "mse_600" in metrics
+        assert metrics["mse_500"] != metrics["mse_600"]
 
     def test_rho_override_required(self, tmp_path):
         code = main(["esn", "--rho", "1.25", "--n", "60", "--train", "300",

@@ -1,55 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_elimination_solve, relative_error
+from conftest import gaussian_elimination_solve
 from qtnn.numerics import (
     InputError,
     Rng,
     ShapeError,
     SingularMatrixError,
+    _splitmix64_stream,
     cholesky,
     dft_magnitude,
-    matmul,
     solve_spd,
     spectral_radius,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_computed(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_transpose_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        oracle = matmul(b.T.copy(), a.T.copy()).T
-        assert np.max(relative_error(matmul(a, b), oracle)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 1.0]])
-        with pytest.raises(InputError):
-            matmul(bad, np.ones((2, 1)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            a = rng.standard_normal((4, 6))
-            b = rng.standard_normal((6, 5))
-            c = rng.standard_normal((5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(relative_error(left, right)) < 1e-9
 
 
 class TestSolveSpd:
@@ -64,12 +27,13 @@ class TestSolveSpd:
 
     def test_against_elimination_oracle(self):
         rng = np.random.default_rng(3)
-        m = rng.standard_normal((6, 6))
-        a = m.T @ m + np.eye(6)
-        b = rng.standard_normal((6, 2))
-        x = solve_spd(a, b)
-        oracle = gaussian_elimination_solve(a, b)
-        assert np.max(np.abs(x - oracle)) < 1e-10
+        for n in (6, 300):
+            m = rng.standard_normal((n, n))
+            a = m.T @ m + np.eye(n)
+            b = rng.standard_normal((n, 2))
+            x = solve_spd(a, b)
+            oracle = gaussian_elimination_solve(a, b)
+            assert np.max(np.abs(x - oracle)) < 1e-10
 
     def test_residual_bound_100_instances(self):
         rng = np.random.default_rng(11)
@@ -88,6 +52,20 @@ class TestSolveSpd:
         with pytest.raises(SingularMatrixError) as err:
             solve_spd(a, np.ones((3, 1)))
         assert err.value.pivot_index == 1
+        assert err.value.value == -2.0
+        # n = 300, positive definite except that the Schur complement at
+        # index k is -0.5, so the leading minor of order k + 1 goes negative
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((300, 300))
+        spd = m @ m.T + 300 * np.eye(300)
+        for k in (0, 150, 299):
+            a = spd.copy()
+            head = np.linalg.solve(np.linalg.cholesky(a[:k, :k]), a[k, :k]) if k else []
+            a[k, k] = np.dot(head, head) - 0.5
+            with pytest.raises(SingularMatrixError) as err:
+                solve_spd(a, np.ones((300, 1)))
+            assert err.value.pivot_index == k
+            assert err.value.value == pytest.approx(-0.5, abs=1e-6)
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.2, 1.0]])
@@ -96,11 +74,12 @@ class TestSolveSpd:
 
     def test_cholesky_reconstructs(self):
         rng = np.random.default_rng(5)
-        m = rng.standard_normal((8, 8))
-        a = m @ m.T + 8 * np.eye(8)
-        low = cholesky(a)
-        assert np.allclose(low @ low.T, a, atol=1e-10)
-        assert np.allclose(np.triu(low, 1), 0.0)
+        for n in (8, 300):
+            m = rng.standard_normal((n, n))
+            a = m @ m.T + n * np.eye(n)
+            low = cholesky(a)
+            assert np.allclose(low @ low.T, a, atol=1e-10)
+            assert np.allclose(np.triu(low, 1), 0.0)
 
 
 class TestSpectralRadius:
@@ -244,12 +223,18 @@ class TestRng:
         assert Rng(1).next_u64() != Rng(2).next_u64()
 
     def test_matches_scalar_reference(self):
-        # vectorized lanes vs an independent big-int implementation
+        # vectorized lanes vs an independent big-int implementation; the
+        # seeds include 0, the all-ones word and values past 2^63
         count = Rng.LANES + 37
-        ref = scalar_xoshiro_reference(99, count)
-        got = [Rng(99).next_u64()] + list(Rng(99)._raw(count)[1:].tolist())
-        assert got[0] == ref[0]
-        assert got == ref
+        for seed in (99, 0, 1, 42, 0x5EED0FA11, 2**64 - 1, 12345678901234567890):
+            ref = scalar_xoshiro_reference(seed, count)
+            got = [Rng(seed).next_u64()] + list(Rng(seed)._raw(count)[1:].tolist())
+            assert got[0] == ref[0]
+            assert got == ref
+            # a short splitmix64 stream is a prefix of the long one
+            words = _splitmix64_stream(seed, 4 * Rng.LANES)
+            for short in (1, 4):
+                assert np.array_equal(_splitmix64_stream(seed, short), words[:short])
 
     def test_gaussian_moments(self):
         z = Rng(7).normals(1_000_000)
