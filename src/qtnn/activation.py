@@ -21,7 +21,6 @@ one of three input modes, and the derivative follows by the chain rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "SpectrumReport",
     "harmonic_spectrum",
     "spectrum_to_csv",
-    "harmonic_report_json",
 ]
 
 MODES = ("rectified", "absolute", "bipolar")
@@ -362,19 +360,3 @@ def spectrum_to_csv(report, path):
         fh.write("freq_hz,magnitude\n")
         for f, m in zip(report.frequencies, report.magnitudes):
             fh.write(f"{f:.10g},{m:.17g}\n")
-
-
-def harmonic_report_json(report):
-    """JSON document listing the detected harmonics."""
-    return json.dumps(
-        {
-            "kind": report.kind,
-            "f0": report.f0,
-            "threshold_db": report.threshold_db,
-            "detected": [
-                {"k": k, "freq_hz": f, "rel_db": db} for k, f, db in report.detected
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    )

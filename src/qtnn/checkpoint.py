@@ -76,7 +76,11 @@ class _Reader:
 
     def string(self):
         n = self.take(1)[0]
-        return self.take(n).decode("utf-8")
+        start = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: string at byte {start} is not UTF-8") from None
 
 
 def _read(path, expect_arch):
@@ -106,6 +110,8 @@ def _read(path, expect_arch):
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(rows * cols * 8), dtype="<f8")
         arrays[name] = data.reshape(rows, cols).copy()
+    if r.pos != len(r.blob):
+        raise FormatError(f"{path}: {len(r.blob) - r.pos} trailing bytes at byte {r.pos}")
     return act, arrays, meta
 
 

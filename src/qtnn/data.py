@@ -33,7 +33,6 @@ __all__ = [
     "bundled_sentiment_path",
     "split_corpus",
     "mackey_glass",
-    "series_to_csv",
     "MNIST_CLASS_NAMES",
     "FASHION_CLASS_NAMES",
 ]
@@ -357,11 +356,3 @@ def mackey_glass(cfg, n_samples, normalize=True):
             return np.zeros_like(series)
         return (series - lo) / span
     return series.copy()
-
-
-def series_to_csv(series, path, dt=1.0):
-    """Write a generated series as `t,x` rows (t in emitted-sample units)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x\n")
-        for i, value in enumerate(np.asarray(series, dtype=np.float64)):
-            fh.write(f"{i * dt:.10g},{value:.17g}\n")

@@ -14,12 +14,20 @@ the fitted network into a generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activation import Activation, activate
-from .numerics import InputError, Rng, SingularMatrixError, solve_spd, spectral_radius
+from .numerics import (
+    InputError,
+    NumericalFailure,
+    Rng,
+    SingularMatrixError,
+    solve_spd,
+    spectral_radius,
+)
 
 __all__ = [
     "EsnModel",
@@ -159,7 +167,8 @@ def esn_free_run(model, warm, horizon):
 
     Forcing stops one step short of the end of ``warm`` so the loop's first
     iteration consumes warm[-1] exactly once, mirroring the state/input
-    pairing the readout was fitted on.
+    pairing the readout was fitted on.  Raises NumericalFailure naming the
+    first step whose prediction is not finite.
     """
     if model.w_out is None:
         raise InputError("model has no fitted readout; call esn_fit first")
@@ -171,10 +180,14 @@ def esn_free_run(model, warm, horizon):
         h = _drive(model, h, value)
     u = warm[-1]
     out = np.empty(horizon)
-    for t in range(horizon):
-        h = _drive(model, h, u)
-        u = (model.w_out @ np.concatenate(([1.0, u], h))).item()
-        out[t] = u
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
+        for t in range(horizon):
+            h = _drive(model, h, u)
+            u = (model.w_out @ np.concatenate(([1.0, u], h))).item()
+            if not math.isfinite(u):  # fed back, it would fail the next activation
+                raise NumericalFailure(
+                    t, message=f"free-run forecast is not finite from step {t}")
+            out[t] = u
     return out
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "InputError",
+    "NumericalFailure",
     "as_matrix",
     "cholesky",
     "solve_spd",
@@ -42,6 +43,15 @@ class SingularMatrixError(ArithmeticError):
 
 class InputError(ValueError):
     """Invalid argument value (bad sizes, non-power-of-two lengths, ...)."""
+
+
+class NumericalFailure(ArithmeticError):
+    """A solver or generator diverged; carries the step index (and norm, if any)."""
+
+    def __init__(self, step, norm=None, message=None):
+        self.step = step
+        self.norm = norm
+        super().__init__(message or f"norm {norm:.6g} diverged at step {step}")
 
 
 def as_matrix(a, name="matrix", allow_vector=False):

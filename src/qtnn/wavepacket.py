@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InputError
+from .numerics import InputError, NumericalFailure
 
 __all__ = [
     "NumericalFailure",
@@ -33,15 +33,6 @@ __all__ = [
 ]
 
 SCENARIO_KINDS = ("barrier", "single_slit", "double_slit")
-
-
-class NumericalFailure(ArithmeticError):
-    """The solver produced a divergent norm; carries the step index."""
-
-    def __init__(self, step, norm):
-        self.step = step
-        self.norm = norm
-        super().__init__(f"norm {norm:.6g} diverged at step {step}")
 
 
 @dataclass

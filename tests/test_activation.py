@@ -5,7 +5,6 @@ from qtnn.activation import (
     Activation,
     BarrierParams,
     activate,
-    harmonic_report_json,
     harmonic_spectrum,
     qt_transmission,
     qt_transmission_derivative,
@@ -315,5 +314,3 @@ class TestHarmonicSpectrum:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "freq_hz,magnitude"
         assert len(lines) == 1 + len(rep.frequencies)
-        doc = harmonic_report_json(rep)
-        assert '"detected"' in doc and '"freq_hz"' in doc

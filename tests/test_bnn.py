@@ -14,6 +14,7 @@ from qtnn.bnn import (
     prediction_report,
 )
 from qtnn.checkpoint import load_bnn, save_bnn
+from qtnn.data import FormatError
 from qtnn.fnn import fnn_forward, fnn_init, fnn_train
 from qtnn.numerics import Rng
 from qtnn.trainutil import TrainConfig, init_stream
@@ -204,3 +205,10 @@ class TestCheckpoint:
         assert np.array_equal(loaded.w2_std, model.w2_std)
         assert loaded.n_samples == 23
         assert loaded.hidden_act == model.hidden_act
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "bnn.qtnn"
+        save_bnn(bnn_init(3, 4, 2, Activation.qt(), Rng(0), std_init=0.07), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load_bnn(path)

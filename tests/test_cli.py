@@ -1,6 +1,13 @@
 import json
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from qtnn import cli
 from qtnn.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, canonical_json, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def read_report(path):
@@ -258,6 +265,137 @@ class TestConfigFiles:
         code = main(["activation", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("cmd, doc, key", [
+        (["train", "rnn"], {"hidden": "abc"}, "hidden"),
+        (["train", "rnn"], {"lr": "x"}, "lr"),
+        (["train", "rnn"], {"epochs": 1.5}, "epochs"),
+        (["train", "rnn"], {"hidden": True}, "hidden"),
+        (["train", "rnn"], {"hidden": None}, "hidden"),
+        (["train", "rnn"], {"activation": "softplus"}, "activation"),
+        (["train", "rnn"], {"corpus": 5}, "corpus"),
+        (["train", "rnn"], {"lr": float("nan")}, "lr"),
+        (["esn"], {"allow_rho_ge_1": "no"}, "allow_rho_ge_1"),
+        (["esn"], {"allow_rho_ge_1": 1}, "allow_rho_ge_1"),
+        (["train", "bnn"], {"train_limit": -1}, "train_limit"),
+    ])
+    def test_bad_config_value_names_key(self, tmp_path, capsys, cmd, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([*cmd, "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT
+        assert one_error_line(capsys).startswith(f"error: {key} must be ")
+
+    @pytest.mark.parametrize("cmd, flag, value", [
+        (["activation"], "--points", "0"),
+        (["spectrum"], "--n", "0"),
+        (["train", "fnn"], "--hidden", "0"),
+        (["train", "fnn"], "--batch", "0"),
+        (["train", "fnn"], "--epochs", "0"),
+        (["train", "rnn"], "--embed", "0"),
+        (["train", "rnn"], "--hidden", "-3"),
+        (["train", "bnn"], "--samples", "0"),
+        (["esn"], "--n", "0"),
+        (["esn"], "--train", "0"),
+        (["esn"], "--horizon", "0"),
+        (["esn"], "--washout", "-1"),
+        (["wavepacket"], "--nx", "0"),
+        (["wavepacket"], "--ny", "0"),
+        (["wavepacket"], "--steps", "0"),
+        (["wavepacket"], "--snapshot-every", "-1"),
+    ])
+    def test_out_of_range_count_flag(self, tmp_path, capsys, cmd, flag, value):
+        code = main([*cmd, flag, value, "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT
+        key = flag[2:].replace("-", "_")
+        assert one_error_line(capsys) == (
+            f"error: {key} must be an integer >= {0 if value == '-1' else 1}, got {value}")
+
+    def test_config_must_be_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["activation", "--config", str(cfg)]) == EXIT_INPUT
+        assert one_error_line(capsys).endswith("must hold a JSON object")
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["activation", "--config", str(cfg)]) == EXIT_INPUT
+        one_error_line(capsys)
+        assert main(["activation", "--config", str(tmp_path)]) == EXIT_INPUT
+        one_error_line(capsys)
+
+    def test_null_where_handled(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clip": None, "stop_loss": None, "corpus": None}))
+        rep = tmp_path / "r.json"
+        code = main(["train", "rnn", "--config", str(cfg), "--hidden", "4",
+                     "--epochs", "1", "--out", str(rep)])
+        assert code == EXIT_OK
+        assert read_report(rep)["config"]["clip"] is None
+
+    def test_null_limits_use_every_row(self, tmp_path, monkeypatch, synthetic_image_data):
+        monkeypatch.setenv("QTNN_DATA_DIR", str(synthetic_image_data))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_limit": None, "test_limit": 0}))
+        rep = tmp_path / "r.json"
+        code = main(["train", "bnn", "--config", str(cfg), "--hidden", "4",
+                     "--epochs", "1", "--samples", "2", "--out", str(rep)])
+        assert code == EXIT_OK
+        assert len(read_report(rep)["per_epoch"]["train_loss"]) == 1
+
+    def test_limit_beyond_dataset(self, tmp_path, capsys, monkeypatch,
+                                  synthetic_image_data):
+        monkeypatch.setenv("QTNN_DATA_DIR", str(synthetic_image_data))
+        # the bnn default train_limit (10000) exceeds the 150 synthetic rows
+        code = main(["train", "bnn", "--hidden", "4", "--epochs", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT
+        assert one_error_line(capsys) == "error: train_limit 10000 exceeds 150 rows"
+
+    def test_int_for_float_not_coerced(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"emax": 8}))
+        rep = tmp_path / "r.json"
+        assert main(["activation", "--config", str(cfg), "--out", str(tmp_path / "c.csv"),
+                     "--report", str(rep)]) == EXIT_OK
+        assert '"emax":8,' in rep.read_text()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_bundled_configs_pass(self, path):
+        arch = path.stem.split("-")[1]
+        cmd = ["esn"] if arch == "esn" else ["train", arch]
+        args = cli._build_parser().parse_args([*cmd, "--config", str(path)])
+        cfg = cli._merge_config(args.rows, args)
+        doc = json.loads(path.read_text())
+        assert {key: cfg[key] for key in doc} == doc
+
+
+class TestEsnDivergence:
+    def test_diverging_forecast_exit_2(self, tmp_path, capsys, monkeypatch):
+        def fit_then_blow_up(model, series):
+            cli_fit(model, series)
+            model.w_out = np.zeros_like(model.w_out)
+            model.w_out[0, 1] = 1e200
+
+        cli_fit = cli.esn_fit
+        monkeypatch.setattr(cli, "esn_fit", fit_then_blow_up)
+        code = main(["esn", "--n", "40", "--train", "300", "--horizon", "20",
+                     "--washout", "20", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        assert one_error_line(capsys) == (
+            "numerical failure: free-run forecast is not finite from step 1")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestCanonicalJson:

@@ -13,7 +13,6 @@ from qtnn.data import (
     load_mnist,
     load_sentiment,
     mackey_glass,
-    series_to_csv,
     split_corpus,
 )
 from qtnn.numerics import InputError
@@ -189,16 +188,6 @@ class TestMackeyGlass:
         a = mackey_glass(MgConfig(), 300)
         b = mackey_glass(MgConfig(), 300)
         assert np.array_equal(a, b)
-
-    def test_series_csv_export(self, tmp_path):
-        series = mackey_glass(MgConfig(transient=100), 50)
-        path = tmp_path / "mg.csv"
-        series_to_csv(series, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x"
-        assert len(lines) == 51
-        t, x = lines[1].split(",")
-        assert t == "0" and abs(float(x) - series[0]) < 1e-16
 
     def test_bad_config_rejected(self):
         with pytest.raises(InputError):

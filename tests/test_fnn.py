@@ -208,3 +208,23 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError, match="fnn"):
             load_rnn(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        from qtnn.data import FormatError
+
+        path = tmp_path / "model.qtnn"
+        save_fnn(fnn_init(3, 2, 2, Activation.qt(), Rng(1)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load_fnn(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        from qtnn.data import FormatError
+
+        path = tmp_path / "model.qtnn"
+        save_fnn(fnn_init(3, 2, 2, Activation.relu(), Rng(1)), path)
+        blob = bytearray(path.read_bytes())
+        blob[9] = 0xFF  # first byte of the architecture tag, after magic, version, length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="byte 9 is not UTF-8"):
+            load_fnn(path)

@@ -4,7 +4,7 @@ import pytest
 from conftest import numeric_gradient
 from qtnn.activation import Activation, softmax
 from qtnn.checkpoint import load_rnn, save_rnn
-from qtnn.data import SentimentCorpus, bundled_sentiment_path, load_sentiment
+from qtnn.data import FormatError, SentimentCorpus, bundled_sentiment_path, load_sentiment
 from qtnn.numerics import InputError, Rng
 from qtnn.rnn import _backward, _unroll, rnn_evaluate, rnn_forward, rnn_init, rnn_train
 from qtnn.trainutil import TrainConfig, init_stream
@@ -198,3 +198,10 @@ class TestCheckpoint:
         loaded = load_rnn(path)
         assert loaded.embed is None
         assert np.array_equal(loaded.wx, model.wx)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "rnn.qtnn"
+        save_rnn(rnn_init(7, 5, 2, Activation.qt(ampl=5.0), Rng(3)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            load_rnn(path)
