@@ -4,7 +4,7 @@ import pytest
 from conftest import numeric_gradient
 from qtnn.activation import Activation
 from qtnn.checkpoint import load_fnn, save_fnn
-from qtnn.data import LabeledDataset
+from qtnn.data import FormatError, LabeledDataset
 from qtnn.fnn import fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_train
 from qtnn.numerics import Rng, ShapeError
 from qtnn.trainutil import TrainConfig, clip_gradients, init_stream
@@ -210,8 +210,6 @@ class TestCheckpoint:
             load_rnn(path)
 
     def test_trailing_byte_rejected(self, tmp_path):
-        from qtnn.data import FormatError
-
         path = tmp_path / "model.qtnn"
         save_fnn(fnn_init(3, 2, 2, Activation.qt(), Rng(1)), path)
         path.write_bytes(path.read_bytes() + b"\x00")
@@ -219,8 +217,6 @@ class TestCheckpoint:
             load_fnn(path)
 
     def test_non_utf8_name_rejected(self, tmp_path):
-        from qtnn.data import FormatError
-
         path = tmp_path / "model.qtnn"
         save_fnn(fnn_init(3, 2, 2, Activation.relu(), Rng(1)), path)
         blob = bytearray(path.read_bytes())
