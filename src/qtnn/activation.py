@@ -17,11 +17,16 @@ a strictly increasing sub-barrier flank.
 T and its closed-form derivative act as a drop-in activation function: a
 pre-activation x is mapped to an energy through a scale factor ``ampl`` and
 one of three input modes, and the derivative follows by the chain rule.
+
+One kernel serves every caller: it classifies each energy once (sub-barrier,
+above-barrier, or the window around v0 between) and gathers each branch by index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +57,9 @@ _DERIV_WINDOW = 1e-9
 # energies below this fraction of v0 take the E = 0 right-limit slope: there
 # it equals dT/dE to rounding, while 4 E^2 in the closed form underflows
 _ZERO_WINDOW = 1e-20
+# inputs per kernel pass: it bounds every temporary at 1 MiB, memory the
+# allocator reuses from call to call instead of mapping fresh pages
+_BLOCK = 131072
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,22 @@ class BarrierParams:
                 raise InputError(f"BarrierParams.{name} must be positive")
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # the constants the kernel reads, derived once and required to be finite
+        v0, a, m, hbar = self.v0, self.a, self.m, self.hbar
+        try:
+            c = 2.0 * m / hbar**2  # kappa^2 = c * |E - v0|
+            top = m * a * a * v0 / (2.0 * hbar**2)
+            s0 = float(np.sinh(min(np.sqrt(c * v0) * a, _SINH_ARG_LIMIT)) ** 2)
+            k = {"c": c, "mh": m / hbar**2, "v0sq": v0**2, "zero_cut": _ZERO_WINDOW * v0,
+                 "t_top": 1.0 / (1.0 + top), "dt_zero": 4.0 / (v0 * s0),
+                 "dt_top": top * (1.0 / v0 + a * a * c / 3.0) / (1.0 + top) ** 2}
+        except (OverflowError, ZeroDivisionError):
+            k = {}
+        windows = {w: (v0 - w * v0, v0 + w * v0) for w in (_VALUE_WINDOW, _DERIV_WINDOW)}
+        if not k or not all(map(math.isfinite, [*k.values(), *sum(windows.values(), ())])):
+            raise InputError(
+                f"barrier v0={v0:g}, a={a:g}, m={m:g}, hbar={hbar:g} gives a non-finite constant")
+        object.__setattr__(self, "_derived", SimpleNamespace(**k, windows=windows))
 
 
 @dataclass(frozen=True)
@@ -130,85 +154,80 @@ class Activation:
         )
 
 
-def _transmission_pieces(energy, p, want_derivative, rel_window):
-    """T(E) and optionally dT/dE for an array of energies >= 0.
+def _transmission(e, p, grad, window):
+    """T(E) and, with ``grad``, dT/dE for a 1-D array of energies >= 0.
 
-    Energies within ``rel_window * v0`` of the barrier top take the E = v0
-    limit form.
+    Energies below ``v0 - window`` take the sub-barrier form, those above
+    ``v0 + window`` the above-barrier form, and all between the E = v0 limit.
     """
-    e = np.asarray(energy, dtype=np.float64)
-    if np.any(e < 0.0):
-        raise InputError("energy must be non-negative")
-    t = np.zeros_like(e)
-    dt = np.zeros_like(e) if want_derivative else None
-
-    v0, a, m, hbar = p.v0, p.a, p.m, p.hbar
-    c = 2.0 * m / hbar**2  # kappa^2 = c * |E - v0|
-    window = rel_window * v0
-
-    below = (e > 0.0) & (e < v0 - window)
-    above = e > v0 + window
-    at = (np.abs(e - v0) <= window) & (e > 0.0)
-
-    if below.any():
-        eb = e[below]
-        k1a = np.sqrt(c * (v0 - eb)) * a
-        # T underflows below ~1e-300 past this point; report 0 rather than overflow
-        safe = k1a < _SINH_ARG_LIMIT
-        # energies below _ZERO_WINDOW * v0 may give inf/nan slopes here; the
-        # E = 0 branch at the end overwrites them
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            g = v0**2 / (4.0 * eb * (v0 - eb))
-            sh = np.sinh(np.minimum(k1a, _SINH_ARG_LIMIT))
-            s = sh * sh
-            tb = np.where(safe, 1.0 / (1.0 + g * s), 0.0)
-            t[below] = tb
-            if want_derivative:
-                gp = v0**2 * (2.0 * eb - v0) / (4.0 * eb**2 * (v0 - eb) ** 2)
-                k1 = k1a / a
-                # sinh(2z) = 2 sinh(z) cosh(z) keeps the argument in range
-                sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-(m / hbar**2) / k1)
-                dt[below] = np.where(safe, -(gp * s + g * sp) * tb * tb, 0.0)
-
-    if above.any():
-        ea = e[above]
-        al = ea - v0
-        ka = np.sqrt(c * al) * a
-        # astronomically large E overflows the intermediates but saturates
-        # cleanly to the transparent limit T = 1, dT = 0
-        with np.errstate(over="ignore"):
-            g = v0**2 / (4.0 * ea * al)
-            s = np.sin(ka) ** 2
-            ta = 1.0 / (1.0 + g * s)
-            t[above] = ta
-            if want_derivative:
-                gp = -(v0**2) * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
-                k = ka / a
-                sp = a * np.sin(2.0 * ka) * ((m / hbar**2) / k)
-                dt[above] = -(gp * s + g * sp) * ta * ta
-
-    if at.any():
-        barrier_term = m * a * a * v0 / (2.0 * hbar**2)
-        t[at] = 1.0 / (1.0 + barrier_term)
-        if want_derivative:
-            dt[at] = (
-                barrier_term * (1.0 / v0 + a * a * c / 3.0) / (1.0 + barrier_term) ** 2
-            )
-
-    if want_derivative:
-        near_zero = e < _ZERO_WINDOW * v0
-        if near_zero.any():
-            # right-limit slope: T ~ 4 E / (v0 sinh^2(a sqrt(2 m v0)/hbar))
-            s0 = np.sinh(min(np.sqrt(c * v0) * a, _SINH_ARG_LIMIT)) ** 2
-            dt[near_zero] = 4.0 / (v0 * s0)
+    k = p._derived
+    lo, hi = k.windows[window]
+    t = np.full(e.shape, k.t_top)
+    dt = np.full(e.shape, k.dt_top) if grad else None
+    for branch, index in ((_sub_barrier, np.flatnonzero(e < lo)),
+                          (_above_barrier, np.flatnonzero(e > hi))):
+        if index.size:
+            t[index], branch_dt = branch(e.take(index), p, k, grad)
+            if grad:
+                dt[index] = branch_dt
     return t, dt
+
+
+def _sub_barrier(eb, p, k, grad):
+    v0, a = p.v0, p.a
+    d = v0 - eb
+    k1a = np.sqrt(k.c * d) * a
+    # inf/nan slopes below _ZERO_WINDOW * v0 give way to the E = 0 limit at the end
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = k.v0sq / (4.0 * eb * d)
+        sh = np.sinh(np.minimum(k1a, _SINH_ARG_LIMIT))
+        s = sh * sh
+        tb = 1.0 / (1.0 + g * s)
+        if grad:
+            gp = k.v0sq * (2.0 * eb - v0) / (4.0 * eb**2 * d**2)
+            # sinh(2z) = 2 sinh(z) cosh(z) keeps the argument in range
+            sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-k.mh / (k1a / a))
+            db = -(gp * s + g * sp) * tb * tb
+    # T underflows below ~1e-300 past this point; report 0 rather than overflow
+    gated = k1a >= _SINH_ARG_LIMIT
+    tb[gated] = 0.0
+    if not grad:
+        return tb, None
+    db[gated] = 0.0
+    # right-limit slope: T ~ 4 E / (v0 sinh^2(a sqrt(2 m v0)/hbar))
+    db[eb < k.zero_cut] = k.dt_zero
+    return tb, db
+
+
+def _above_barrier(ea, p, k, grad):
+    v0, a = p.v0, p.a
+    al = ea - v0
+    ka = np.sqrt(k.c * al) * a
+    # astronomically large E overflows the intermediates but saturates
+    # cleanly to the transparent limit T = 1, dT = 0
+    with np.errstate(over="ignore"):
+        g = k.v0sq / (4.0 * ea * al)
+        s = np.sin(ka) ** 2
+        ta = 1.0 / (1.0 + g * s)
+        if not grad:
+            return ta, None
+        gp = -k.v0sq * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
+        sp = a * np.sin(2.0 * ka) * (k.mh / (ka / a))
+        return ta, -(gp * s + g * sp) * ta * ta
+
+
+def _energy_transmission(energy, params, grad, window):
+    e = np.asarray(energy, dtype=np.float64)
+    if not (e >= 0.0).all():
+        raise InputError("energy must be non-negative")
+    t, dt = _transmission(e.ravel(), params or BarrierParams(), grad, window)
+    out = (dt if grad else t).reshape(e.shape)
+    return float(out) if e.ndim == 0 else out
 
 
 def qt_transmission(energy, params=None):
     """Transmission coefficient T(E) in [0, 1]; scalar in, scalar out."""
-    p = params if params is not None else BarrierParams()
-    t, _ = _transmission_pieces(energy, p, False, _VALUE_WINDOW)
-    return float(t) if np.ndim(energy) == 0 else t
+    return _energy_transmission(energy, params, False, _VALUE_WINDOW)
 
 
 def qt_transmission_derivative(energy, params=None):
@@ -217,27 +236,26 @@ def qt_transmission_derivative(energy, params=None):
     Energies below ``1e-20 * v0`` also take the right limit, which equals the
     closed form there to rounding while the closed form underflows.
     """
-    p = params if params is not None else BarrierParams()
-    _, dt = _transmission_pieces(energy, p, True, _DERIV_WINDOW)
-    return float(dt) if np.ndim(energy) == 0 else dt
+    return _energy_transmission(energy, params, True, _DERIV_WINDOW)
 
 
-def _qt_elementwise(x, p, grad):
-    # value-only calls keep the derivative's window around v0, so the
+def _qt_activate(x, p, grad):
+    # the live inputs (x > 0; x != 0 in absolute mode) of each block go to the
+    # kernel; value-only calls keep the derivative's window around v0, so the
     # values do not depend on whether the derivative was asked for
-    if p.mode == "absolute":
-        energy = p.ampl * np.abs(x)
-        t, dt = _transmission_pieces(energy, p, grad, _DERIV_WINDOW)
-        return t, (p.ampl * np.sign(x) * dt if grad else None)
-    energy = p.ampl * np.maximum(x, 0.0)
-    t, dt = _transmission_pieces(energy, p, grad, _DERIV_WINDOW)
-    active = x > 0.0
-    if p.mode == "bipolar":
-        y = np.where(active, 2.0 * t - 1.0, -1.0)
-        dy = np.where(active, 2.0 * p.ampl * dt, 0.0) if grad else None
-    else:
-        y = np.where(active, t, 0.0)
-        dy = np.where(active, p.ampl * dt, 0.0) if grad else None
+    absolute, bipolar = p.mode == "absolute", p.mode == "bipolar"
+    scale = 2.0 * p.ampl if bipolar else p.ampl
+    xf = x.ravel()
+    y = np.full(x.shape, -1.0 if bipolar else 0.0)
+    dy = np.zeros(x.shape) if grad else None
+    for start in range(0, xf.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        live = np.flatnonzero(xf[block] != 0.0 if absolute else xf[block] > 0.0)
+        xl = xf[block].take(live)
+        t, dt = _transmission(p.ampl * (np.abs(xl) if absolute else xl), p, grad, _DERIV_WINDOW)
+        y.reshape(-1)[block][live] = 2.0 * t - 1.0 if bipolar else t
+        if grad:
+            dy.reshape(-1)[block][live] = (scale * np.sign(xl) if absolute else scale) * dt
     return y, dy
 
 
@@ -251,7 +269,7 @@ def activate(x, act, grad=True):
     if not np.isfinite(x).all():
         raise InputError("activation input contains NaN or Inf")
     if act.kind == "qt":
-        return _qt_elementwise(x, act.barrier, grad)
+        return _qt_activate(x, act.barrier, grad)
     if act.kind == "relu":
         return np.maximum(x, 0.0), ((x > 0.0).astype(np.float64) if grad else None)
     if act.kind == "sigmoid":
@@ -322,8 +340,10 @@ def harmonic_spectrum(act, f0=16.0, fs=1024.0, n=1024, threshold_db=-70.0):
     k*f0 is detected when its magnitude is within ``threshold_db`` (20 log10)
     of the largest non-DC peak.
     """
+    if not 0.0 < fs < np.inf:
+        raise InputError(f"fs must be positive and finite, got {fs}")
     cycles = f0 * n / fs
-    if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
+    if not np.isfinite(cycles) or abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
         raise InputError(
             f"f0*n/fs must be a positive integer number of periods, got {cycles}"
         )

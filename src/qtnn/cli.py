@@ -350,7 +350,10 @@ def _cmd_esn(cfg, args):
 
 def _cmd_wavepacket(cfg, args):
     if cfg["v0"] is None:
-        cfg["v0"] = 1.25 * 0.5 * cfg["k0x"] ** 2
+        try:
+            cfg["v0"] = 1.25 * 0.5 * cfg["k0x"] ** 2
+        except OverflowError:
+            raise InputError(f"k0x={cfg['k0x']:g} overflows the default barrier height") from None
     scenario = Scenario(kind=cfg["scenario"], **{
         f.name: cfg[f.name] for f in fields(Scenario) if f.name != "kind"})
     frames, summary = wp_run(scenario, cfg["steps"], snapshot_every=cfg["snapshot_every"],

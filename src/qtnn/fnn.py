@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import Activation, activate, softmax_crossentropy
+from .activation import Activation, activate, softmax, softmax_crossentropy
 from .numerics import ShapeError, as_matrix
 from .trainutil import (
     TrainingDiverged,
@@ -52,24 +52,27 @@ def fnn_init(n_features, n_hidden, n_classes, hidden_act, rng):
     return FnnModel(w1, np.zeros((1, n_hidden)), w2, np.zeros((1, n_classes)), hidden_act).check()
 
 
+def _forward(model, x, grad):
+    """Checked input, hidden values (with dT/dE when ``grad``) and logits."""
+    x = as_matrix(x, "x", allow_vector=True)
+    if x.shape[1] != model.w1.shape[0]:
+        raise ShapeError(f"x has {x.shape[1]} features, model expects {model.w1.shape[0]}")
+    h, dh = activate(x @ model.w1 + model.b1, model.hidden_act, grad=grad)
+    return x, h, dh, h @ model.w2 + model.b2
+
+
 def fnn_forward(model, x, onehot=None):
     """Probabilities plus the cache needed for one backward pass.
 
     With ``onehot`` given, also returns (loss, dlogits) from the softmax
     cross-entropy; otherwise those slots are None.
     """
-    x = as_matrix(x, "x", allow_vector=True)
-    if x.shape[1] != model.w1.shape[0]:
-        raise ShapeError(f"x has {x.shape[1]} features, model expects {model.w1.shape[0]}")
-    z1 = x @ model.w1 + model.b1
-    h, dh = activate(z1, model.hidden_act)
-    logits = h @ model.w2 + model.b2
+    x, h, dh, logits = _forward(model, x, True)
+    cache = {"x": x, "h": h, "dh": dh}
     if onehot is None:
-        from .activation import softmax
-
-        return softmax(logits), {"x": x, "h": h, "dh": dh}, None, None
+        return softmax(logits), cache, None, None
     probs, loss, dlogits = softmax_crossentropy(logits, onehot)
-    return probs, {"x": x, "h": h, "dh": dh}, loss, dlogits
+    return probs, cache, loss, dlogits
 
 
 def fnn_backward(model, cache, dlogits):
@@ -129,7 +132,8 @@ def fnn_evaluate(model, data, batch_size=1024):
     for start in range(0, n, batch_size):
         xb = data.inputs[start : start + batch_size]
         yb = data.labels_onehot[start : start + batch_size]
-        probs, _, loss, _ = fnn_forward(model, xb, yb)
+        # values only: the hidden-unit derivatives of fnn_forward go unused here
+        probs, loss, _ = softmax_crossentropy(_forward(model, xb, False)[3], yb)
         correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
         total_loss += loss * xb.shape[0]
     return correct / n, total_loss / n

@@ -231,7 +231,7 @@ def wp_step(grid):
     grid.psi = phase * psi
     grid.steps_taken += 1
     norm = grid.norm()
-    if norm > 1.0 + 1e-3:
+    if not norm <= 1.0 + 1e-3:  # a NaN norm fails too
         raise NumericalFailure(grid.steps_taken, norm)
     return grid
 

@@ -47,6 +47,11 @@ class TestTransmissionValues:
         with pytest.raises(InputError):
             qt_transmission(-0.1, UNIT)
 
+    def test_nan_energy_rejected(self):
+        for fn in (qt_transmission, qt_transmission_derivative):
+            with pytest.raises(InputError):
+                fn(np.array([1.0, np.nan]), UNIT)
+
     def test_huge_barrier_underflows_to_zero(self):
         p = BarrierParams(v0=2.0, a=500.0, m=1.0, hbar=1.0)
         assert qt_transmission(1.0, p) == 0.0
@@ -135,6 +140,31 @@ class TestTransmissionProperties:
             BarrierParams(v0=-1.0)
         with pytest.raises(InputError):
             BarrierParams(mode="sideways")
+
+    @pytest.mark.parametrize("overrides", [
+        {"v0": 1e300}, {"hbar": 1e300}, {"hbar": 1e-300}, {"m": 1e-310, "hbar": 10.0},
+    ])
+    def test_non_finite_derived_constant_rejected(self, overrides):
+        with pytest.raises(InputError, match="non-finite constant"):
+            BarrierParams(**overrides)
+
+    @pytest.mark.parametrize("v0", [0.7, 1.0, 2.0, 3.0, 7.3])
+    def test_no_gap_at_window_edges(self, v0):
+        # energies just past v0 (1 +- window) once fell into no branch and gave 0
+        p = BarrierParams(v0=v0)
+        centres = v0 * np.array([1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9])
+        ulps = np.arange(-64, 65)
+        e = (centres[:, None] + ulps * np.spacing(centres)[:, None]).ravel()
+        t_top = qt_transmission(v0, p)
+        dt_top = qt_transmission_derivative(v0, p)
+        y, dy = activate(e, Activation.qt(p))
+        for t in (qt_transmission(e, p), y):
+            assert np.all(t > 0.0)
+            assert np.all(np.abs(t - t_top) < 1e-6)
+        for dt in (qt_transmission_derivative(e, p), dy):
+            assert np.all(np.abs(dt / dt_top - 1.0) < 1e-5)
+        bipolar = activate(e, Activation.qt(v0=v0, mode="bipolar"))[0]
+        assert np.all(np.abs(bipolar - (2.0 * t_top - 1.0)) < 2e-6)
 
 
 class TestActivate:
@@ -300,6 +330,13 @@ class TestHarmonicSpectrum:
     def test_non_integer_period_rejected(self):
         with pytest.raises(InputError):
             harmonic_spectrum(Activation.relu(), f0=16.3)
+        with pytest.raises(InputError):  # f0 * n / fs overflows to inf
+            harmonic_spectrum(Activation.relu(), f0=1e300, fs=1e-10)
+
+    @pytest.mark.parametrize("fs", [0.0, -1024.0, np.inf, np.nan])
+    def test_bad_sample_rate_rejected(self, fs):
+        with pytest.raises(InputError, match="fs must be positive and finite"):
+            harmonic_spectrum(Activation.relu(), fs=fs)
 
     def test_report_fields(self):
         rep = harmonic_spectrum(Activation.relu())
@@ -314,3 +351,163 @@ class TestHarmonicSpectrum:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "freq_hz,magnitude"
         assert len(lines) == 1 + len(rep.frequencies)
+
+
+# The masked kernel that the index-gathering one replaced, kept verbatim as
+# the oracle: every value and derivative must match it bit for bit, except
+# at the window-edge energies it left in no branch (it gave 0 there).
+_REF_SINH_ARG_LIMIT = 350.0
+_REF_DERIV_WINDOW = 1e-9
+_REF_ZERO_WINDOW = 1e-20
+
+
+def _ref_transmission_pieces(energy, p, want_derivative, rel_window):
+    e = np.asarray(energy, dtype=np.float64)
+    if np.any(e < 0.0):
+        raise InputError("energy must be non-negative")
+    t = np.zeros_like(e)
+    dt = np.zeros_like(e) if want_derivative else None
+
+    v0, a, m, hbar = p.v0, p.a, p.m, p.hbar
+    c = 2.0 * m / hbar**2
+    window = rel_window * v0
+
+    below = (e > 0.0) & (e < v0 - window)
+    above = e > v0 + window
+    at = (np.abs(e - v0) <= window) & (e > 0.0)
+
+    if below.any():
+        eb = e[below]
+        k1a = np.sqrt(c * (v0 - eb)) * a
+        safe = k1a < _REF_SINH_ARG_LIMIT
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = v0**2 / (4.0 * eb * (v0 - eb))
+            sh = np.sinh(np.minimum(k1a, _REF_SINH_ARG_LIMIT))
+            s = sh * sh
+            tb = np.where(safe, 1.0 / (1.0 + g * s), 0.0)
+            t[below] = tb
+            if want_derivative:
+                gp = v0**2 * (2.0 * eb - v0) / (4.0 * eb**2 * (v0 - eb) ** 2)
+                k1 = k1a / a
+                sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-(m / hbar**2) / k1)
+                dt[below] = np.where(safe, -(gp * s + g * sp) * tb * tb, 0.0)
+
+    if above.any():
+        ea = e[above]
+        al = ea - v0
+        ka = np.sqrt(c * al) * a
+        with np.errstate(over="ignore"):
+            g = v0**2 / (4.0 * ea * al)
+            s = np.sin(ka) ** 2
+            ta = 1.0 / (1.0 + g * s)
+            t[above] = ta
+            if want_derivative:
+                gp = -(v0**2) * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
+                k = ka / a
+                sp = a * np.sin(2.0 * ka) * ((m / hbar**2) / k)
+                dt[above] = -(gp * s + g * sp) * ta * ta
+
+    if at.any():
+        barrier_term = m * a * a * v0 / (2.0 * hbar**2)
+        t[at] = 1.0 / (1.0 + barrier_term)
+        if want_derivative:
+            dt[at] = (
+                barrier_term * (1.0 / v0 + a * a * c / 3.0) / (1.0 + barrier_term) ** 2
+            )
+
+    if want_derivative:
+        near_zero = e < _REF_ZERO_WINDOW * v0
+        if near_zero.any():
+            s0 = np.sinh(min(np.sqrt(c * v0) * a, _REF_SINH_ARG_LIMIT)) ** 2
+            dt[near_zero] = 4.0 / (v0 * s0)
+    return t, dt
+
+
+def _ref_qt_elementwise(x, p, grad):
+    if p.mode == "absolute":
+        energy = p.ampl * np.abs(x)
+        t, dt = _ref_transmission_pieces(energy, p, grad, _REF_DERIV_WINDOW)
+        return t, (p.ampl * np.sign(x) * dt if grad else None)
+    energy = p.ampl * np.maximum(x, 0.0)
+    t, dt = _ref_transmission_pieces(energy, p, grad, _REF_DERIV_WINDOW)
+    active = x > 0.0
+    if p.mode == "bipolar":
+        y = np.where(active, 2.0 * t - 1.0, -1.0)
+        dy = np.where(active, 2.0 * p.ampl * dt, 0.0) if grad else None
+    else:
+        y = np.where(active, t, 0.0)
+        dy = np.where(active, p.ampl * dt, 0.0) if grad else None
+    return y, dy
+
+
+def _ref_gap(x, p):
+    """Inputs whose energy the masked kernel put in none of its branches."""
+    e = p.ampl * np.abs(x)
+    w = _REF_DERIV_WINDOW * p.v0
+    live = (x != 0.0) if p.mode == "absolute" else (x > 0.0)
+    return (live & (e > 0.0) & ~(e < p.v0 - w) & ~(e > p.v0 + w)
+            & ~(np.abs(e - p.v0) <= w))
+
+
+def _ref_activate(x, p, grad):
+    """The oracle, with its gap inputs given the E = v0 limit form."""
+    y, dy = _ref_qt_elementwise(x, p, grad)
+    gap = _ref_gap(x, p)
+    if gap.any():
+        top = _ref_qt_elementwise(np.copysign(p.v0 / p.ampl, x[gap]), p, grad)
+        y[gap] = top[0]
+        if grad:
+            dy[gap] = top[1]
+    return y, dy
+
+
+def _oracle_inputs(v0, ampl):
+    """Zeros, subnormals, huge values and ulp grids around v0 and the window edges."""
+    points = [0.0, 5e-324, 1e-310, 1e300]
+    for centre in v0 * np.array([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0 + 1e-12]):
+        c = centre / ampl
+        points.extend(c + np.arange(-8, 9) * np.spacing(c))
+    points = np.array(points)
+    return np.concatenate([points, -points])
+
+
+class TestMaskedOracle:
+    @pytest.mark.parametrize("mode", ["rectified", "absolute", "bipolar"])
+    def test_bit_equal_to_masked_kernel(self, mode):
+        rng = np.random.default_rng(2024)
+        gaps = 0
+        for v0 in (0.7, 2.0, 3.0):
+            for ampl in (1.0, 2.0, 5.0):
+                p = BarrierParams(v0=v0, ampl=ampl, mode=mode)
+                special = _oracle_inputs(v0, ampl)
+                for shape in ((32,), (1000,), (64, 512), (1024, 512), special.shape):
+                    x = rng.normal(0.0, 1.5 * v0 / ampl, shape)
+                    where = rng.choice(x.size, min(x.size, special.size), replace=False)
+                    x.flat[where] = special[: where.size]
+                    gaps += int(_ref_gap(x, p).sum())
+                    if shape == (64, 512):
+                        x = x.T  # a strided view
+                    for grad in (True, False):
+                        y, dy = activate(x, Activation.qt(p), grad=grad)
+                        y_ref, dy_ref = _ref_activate(x, p, grad)
+                        assert y.shape == x.shape
+                        assert y.tobytes() == y_ref.tobytes(), (v0, ampl, shape, grad)
+                        if grad:
+                            assert dy.tobytes() == dy_ref.tobytes(), (v0, ampl, shape)
+                        else:
+                            assert dy is None
+        assert gaps > 0  # the grids do reach the old gap
+
+    @pytest.mark.parametrize("v0", [0.7, 2.0, 3.0])
+    def test_transmission_functions_bit_equal(self, v0):
+        p = BarrierParams(v0=v0)
+        e = np.abs(np.concatenate([
+            _oracle_inputs(v0, 1.0), np.random.default_rng(5).uniform(0.0, 6.0 * v0, 5000)]))
+        for got, grad, window in ((qt_transmission(e, p), False, 1e-12),
+                                  (qt_transmission_derivative(e, p), True, 1e-9)):
+            which = 1 if grad else 0
+            want = _ref_transmission_pieces(e, p, grad, window)[which]
+            w = window * v0
+            gap = (e > 0.0) & ~(e < v0 - w) & ~(e > v0 + w) & ~(np.abs(e - v0) <= w)
+            want[gap] = _ref_transmission_pieces(np.array([v0]), p, grad, window)[which][0]
+            assert got.tobytes() == want.tobytes()

@@ -406,3 +406,36 @@ class TestCanonicalJson:
     def test_round_trip(self):
         report = {"x": [1.5, 2, "s"], "y": {"k": None, "t": True}}
         assert json.loads(canonical_json(report)) == report
+
+
+class TestUncomputableValues:
+    """Well-typed values the library cannot compute with exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("cmd, message", [
+        (["activation", "--v0", "1e300"], "gives a non-finite constant"),
+        (["activation", "--hbar", "1e300"], "gives a non-finite constant"),
+        (["activation", "--hbar", "1e-300"], "gives a non-finite constant"),
+        (["train", "rnn", "--hbar", "1e300"], "gives a non-finite constant"),
+        (["esn", "--act", "qt", "--v0", "1e300"], "gives a non-finite constant"),
+        (["spectrum", "--fs", "0"], "fs must be positive and finite"),
+        (["spectrum", "--fs", "-1024"], "fs must be positive and finite"),
+        (["wavepacket", "--k0x", "1e300"], "k0x=1e+300 overflows the default barrier height"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_exit_1_with_one_line(self, tmp_path, capsys, cmd, message):
+        code = main([*cmd, "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        line = one_error_line(capsys)
+        assert line.startswith("error: ") and message in line
+
+
+class TestWavepacketNaN:
+    def test_nan_state_exit_2(self, tmp_path, capsys):
+        # a packet far narrower than the grid normalises to NaN; the norm
+        # check must not let it through as a converged run
+        code = main(["wavepacket", "--sigma", "1e-300", "--nx", "32", "--ny", "32",
+                     "--dx", "0.4", "--steps", "3", "--x0", "3", "--barrier-x", "8",
+                     "--outdir", str(tmp_path / "frames"), "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numerical failure: norm nan diverged at step 1")
+        assert not (tmp_path / "r.json").exists()

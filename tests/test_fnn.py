@@ -188,6 +188,26 @@ class TestEvaluate:
         assert abs(np.mean(accs) - 0.1) < 0.05
 
 
+    def test_matches_forward_loop_bitwise(self):
+        # fnn_evaluate skips dT/dE; its accuracy and loss must still equal a
+        # loop over fnn_forward bit for bit
+        rng = np.random.default_rng(12)
+        n = 2500
+        data = LabeledDataset(rng.random((n, 20)), np.eye(10)[rng.integers(0, 10, n)],
+                              [str(i) for i in range(10)])
+        for act in ALL_KINDS:
+            model = fnn_init(20, 48, 10, act, init_stream(6))
+            correct, total = 0, 0.0
+            for start in range(0, n, 1024):
+                xb, yb = data.inputs[start:start + 1024], data.labels_onehot[start:start + 1024]
+                probs, _, loss, _ = fnn_forward(model, xb, yb)
+                correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
+                total += loss * xb.shape[0]
+            acc, loss = fnn_evaluate(model, data)
+            assert acc.hex() == (correct / n).hex()
+            assert loss.hex() == (total / n).hex()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = fnn_init(5, 4, 3, Activation.qt(ampl=2.5, mode="bipolar"), Rng(7))
