@@ -213,6 +213,29 @@ def scalar_xoshiro_reference(seed, count):
     return outputs[:count]
 
 
+
+def fisher_yates_reference(rng, n):
+    """The plain Fisher-Yates loop: one ``integer`` draw per swap."""
+    order = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.integer(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+class ScriptedRng(Rng):
+    """An Rng whose raw stream is a fixed list of 64-bit words."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def _raw(self, count):
+        assert count <= len(self.words), "script ran dry"
+        out, self.words = self.words[:count], self.words[count:]
+        return np.array(out, dtype=np.uint64)
+
+
 class TestRng:
     def test_same_seed_identical_stream(self):
         a, b = Rng(123), Rng(123)
@@ -263,6 +286,34 @@ class TestRng:
     def test_permutation_is_permutation(self):
         p = Rng(3).permutation(100)
         assert sorted(p.tolist()) == list(range(100))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 100, 60000])
+    def test_permutation_matches_fisher_yates_loop(self, n):
+        # same swaps from the same words: the next draw after it agrees too;
+        # a prior draw of 5 starts the permutation mid-block
+        for seed, prior in ((0, 0), (3, 0), (2**64 - 1, 0), (11, 5)):
+            got_rng, ref_rng = Rng(seed), Rng(seed)
+            if prior:
+                got_rng.uniforms(prior)
+                ref_rng.uniforms(prior)
+            got = got_rng.permutation(n)
+            ref = fisher_yates_reference(ref_rng, n)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+            assert got_rng.next_u64() == ref_rng.next_u64()
+
+    @pytest.mark.parametrize("n, words, left", [
+        # 2**64 - 1 is past integer(3)'s limit 2**64 - 2**64 % 3 = 2**64 - 1,
+        # but integer(2) and integer(4) accept every word
+        (3, [2**64 - 1, 7, 2**64 - 1, 10, 11], [10, 11]),
+        (4, [5, 2**64 - 1, 2**64 - 1, 8, 9, 12], [12]),
+    ])
+    def test_permutation_redraws_after_rejection(self, n, words, left):
+        got_rng, ref_rng = ScriptedRng(words), ScriptedRng(words)
+        got = got_rng.permutation(n)
+        ref = fisher_yates_reference(ref_rng, n)
+        assert np.array_equal(got, ref)
+        assert got_rng.words == ref_rng.words == left
 
     def test_spawn_independent_and_deterministic(self):
         r = Rng(42)
