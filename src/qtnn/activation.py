@@ -336,7 +336,8 @@ def harmonic_spectrum(act, f0=16.0, fs=1024.0, n=1024, threshold_db=-70.0):
     """Drive an activation with sin(2 pi f0 t) and flag its harmonics.
 
     The signal must contain an integer number of periods (f0 * n / fs
-    integral) so every harmonic falls exactly on a DFT bin.  A harmonic at
+    integral) so every harmonic falls exactly on a DFT bin, and the drive
+    must lie below the Nyquist frequency (2 f0 < fs).  A harmonic at
     k*f0 is detected when its magnitude is within ``threshold_db`` (20 log10)
     of the largest non-DC peak.
     """
@@ -347,6 +348,8 @@ def harmonic_spectrum(act, f0=16.0, fs=1024.0, n=1024, threshold_db=-70.0):
         raise InputError(
             f"f0*n/fs must be a positive integer number of periods, got {cycles}"
         )
+    if not 2.0 * f0 < fs:
+        raise InputError(f"f0={f0} must lie below the Nyquist frequency fs/2={fs / 2.0}")
     t = np.arange(n) / fs
     y, _ = activate(np.sin(2.0 * np.pi * f0 * t), act, grad=False)
     mag = dft_magnitude(y)

@@ -10,12 +10,19 @@ W_out is ever fitted, by ridge regression
 over extended states [1; u_t; h_t] collected after a washout period.  In
 free-running mode each prediction is fed back as the next input, turning
 the fitted network into a generator.
+
+The fit records the state the reservoir ends in, and a free run warmed up
+on the series it was fitted on continues from that state instead of
+driving the reservoir over the same inputs again.  Like W_out, that state
+belongs to the reservoir it was driven through: after changing W_in, W_res
+or the activation, refit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +47,16 @@ __all__ = [
 ]
 
 
+class _FitEnd(NamedTuple):
+    """Where esn_fit left the reservoir, and what drove it there."""
+
+    w_in: np.ndarray
+    w_res: np.ndarray
+    act: Activation
+    inputs: np.ndarray  # copy of the driven series[:-1]
+    h: np.ndarray       # state after the last of them
+
+
 @dataclass
 class EsnModel:
     w_in: np.ndarray          # N x (1 + M), column 0 is the bias
@@ -51,6 +68,7 @@ class EsnModel:
     ridge_lambda: float
     density: float
     seed: int
+    fit_end: _FitEnd | None = None  # set with w_out by esn_fit
 
     @property
     def n_reservoir(self):
@@ -113,6 +131,42 @@ def _drive(model, h, u):
     return activate(pre, model.act, grad=False)[0]
 
 
+def _run_reservoir(model, inputs, h, states=None):
+    """Drive from state ``h`` over ``inputs`` and return the final state.
+
+    Given a ``states`` matrix, column t - washout receives the extended
+    state [1; u_t; h_t] of every step t >= washout.
+    """
+    washout = model.washout
+    if states is not None:
+        states[0] = 1.0
+        states[1] = inputs[washout:]
+    for t, u in enumerate(inputs):
+        h = _drive(model, h, u)
+        if states is not None and t >= washout:
+            states[2:, t - washout] = h
+    return h
+
+
+def _fitted_state(model, inputs):
+    """esn_fit's final state if it drove this reservoir over these exact bytes.
+
+    Bytes, not values, are compared: -0.0 and 0.0 can drive the reservoir
+    differently.  Returns None when anything differs.
+    """
+    end = model.fit_end
+    if (
+        end is not None
+        and end.w_in is model.w_in
+        and end.w_res is model.w_res
+        and end.act is model.act
+        and end.inputs.shape == inputs.shape
+        and end.inputs.tobytes() == inputs.tobytes()
+    ):
+        return end.h
+    return None
+
+
 def ridge_readout(states, targets, ridge_lambda):
     """Solve W_out = Y H^T (H H^T + lambda I)^{-1} for column-wise states H."""
     states = np.asarray(states, dtype=np.float64)
@@ -134,32 +188,27 @@ def esn_fit(model, series):
 
     Runs the reservoir over series[0..T-2] targeting series[1..T-1],
     collects extended states after the washout and solves the regularized
-    normal equations through the SPD path.  Sets and returns model.w_out.
+    normal equations through the SPD path.  Sets and returns model.w_out;
+    once the solve succeeds it also records the final reservoir state in
+    model.fit_end, for esn_free_run to continue from.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1:
         raise InputError("series must be 1-D")
+    if model.washout < 0:
+        raise InputError(f"washout must be non-negative, got {model.washout}")
     total = series.size
     if total <= model.washout + 1:
         raise InputError(
             f"series length {total} too short for washout {model.washout}"
         )
-    n = model.n_reservoir
-    n_keep = total - 1 - model.washout
-    states = np.empty((2 + n, n_keep))
-    targets = np.empty((1, n_keep))
-    h = np.zeros(n)
-    kept = 0
-    for t in range(total - 1):
-        h = _drive(model, h, series[t])
-        if t >= model.washout:
-            states[0, kept] = 1.0
-            states[1, kept] = series[t]
-            states[2:, kept] = h
-            targets[0, kept] = series[t + 1]
-            kept += 1
-    model.w_out = ridge_readout(states, targets, model.ridge_lambda)
-    return model.w_out
+    inputs = series[:-1].copy()
+    states = np.empty((2 + model.n_reservoir, total - 1 - model.washout))
+    h = _run_reservoir(model, inputs, np.zeros(model.n_reservoir), states)
+    w_out = ridge_readout(states, series[None, model.washout + 1 :], model.ridge_lambda)
+    model.w_out = w_out
+    model.fit_end = _FitEnd(model.w_in, model.w_res, model.act, inputs, h)
+    return w_out
 
 
 def esn_free_run(model, warm, horizon):
@@ -167,17 +216,21 @@ def esn_free_run(model, warm, horizon):
 
     Forcing stops one step short of the end of ``warm`` so the loop's first
     iteration consumes warm[-1] exactly once, mirroring the state/input
-    pairing the readout was fitted on.  Raises NumericalFailure naming the
-    first step whose prediction is not finite.
+    pairing the readout was fitted on.  When warm[:-1] is byte for byte the
+    input esn_fit drove this reservoir with, forcing is skipped: the run
+    continues from the fit's recorded final state, the very state forcing
+    from zero would reach.  Otherwise it forces from zero.  A reservoir
+    changed after the fit needs a refit, as W_out does.  Raises
+    NumericalFailure naming the first step whose prediction is not finite.
     """
     if model.w_out is None:
         raise InputError("model has no fitted readout; call esn_fit first")
     warm = np.asarray(warm, dtype=np.float64)
     if warm.size <= model.washout:
         raise InputError("warmup series must cover the washout")
-    h = np.zeros(model.n_reservoir)
-    for value in warm[:-1]:
-        h = _drive(model, h, value)
+    h = _fitted_state(model, warm[:-1])
+    if h is None:
+        h = _run_reservoir(model, warm[:-1], np.zeros(model.n_reservoir))
     u = warm[-1]
     out = np.empty(horizon)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below

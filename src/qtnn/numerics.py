@@ -351,12 +351,37 @@ class Rng:
                 return x % upper
 
     def permutation(self, n):
-        """Fisher-Yates shuffle of range(n)."""
-        order = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        """Fisher-Yates shuffle of range(n), one ``integer(i + 1)`` per swap.
+
+        The n - 1 words are drawn in one block and checked against their
+        rejection limits at once.  A rejected word (probability below
+        n / 2**64 each) shifts the rest of the block by one step, and only
+        then are further words drawn one at a time, so the stream advances
+        exactly as a loop of ``integer`` calls would.
+        """
+        if n <= 1:
+            return np.arange(n)
+        uppers = np.arange(n, 1, -1, dtype=np.uint64)
+        words = self._raw(n - 1)
+        # integer(u) accepts x < 2**64 - 2**64 % u, i.e. x <= MASK - 2**64 % u
+        highest = _U64(_MASK64) - (_U64(_MASK64) % uppers + _U64(1)) % uppers
+        swaps = (words % uppers).tolist()
+        rejected = np.flatnonzero(words > highest)
+        if rejected.size:
+            step = int(rejected[0])
+            spare = iter(words[step + 1 :].tolist())
+            while step < n - 1:
+                upper = n - step
+                word = next(spare, None)
+                if word is None:
+                    word = self.next_u64()
+                if word < (1 << 64) - (1 << 64) % upper:
+                    swaps[step] = word % upper
+                    step += 1
+        order = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             order[i], order[j] = order[j], order[i]
-        return order
+        return np.array(order)
 
     def spawn(self, key):
         """Independent child generator derived from (seed, key)."""

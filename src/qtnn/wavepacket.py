@@ -215,11 +215,13 @@ def wp_init(scenario, nx=400, ny=400, dx=0.1, dt=0.005):
     x = (np.arange(nx) * dx)[:, None]
     yoff = ((np.arange(ny) - (ny - 1) / 2.0) * dx)[None, :]
     y0off = y0 - y_center
-    envelope = np.exp(
-        -((x - scenario.x0) ** 2 + (yoff - y0off) ** 2) / (4.0 * scenario.sigma**2)
-    )
-    psi = envelope.astype(np.complex128) * np.exp(1j * scenario.k0x * x)
-    psi /= np.sqrt((np.abs(psi) ** 2).sum() * dx * dx)
+    # a packet too narrow for the grid normalises to NaN; wp_step reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        envelope = np.exp(
+            -((x - scenario.x0) ** 2 + (yoff - y0off) ** 2) / (4.0 * scenario.sigma**2)
+        )
+        psi = envelope.astype(np.complex128) * np.exp(1j * scenario.k0x * x)
+        psi /= np.sqrt((np.abs(psi) ** 2).sum() * dx * dx)
     return Grid2D(psi, v, dx, dt, scenario)
 
 

@@ -338,6 +338,12 @@ class TestHarmonicSpectrum:
         with pytest.raises(InputError, match="fs must be positive and finite"):
             harmonic_spectrum(Activation.relu(), fs=fs)
 
+    @pytest.mark.parametrize("f0, fs", [(512.0, 1024.0), (1024.0, 1024.0), (16.0, 1e-300)])
+    def test_drive_at_or_above_nyquist_rejected(self, f0, fs):
+        # an integer period count, but at least n/2 cycles in n samples
+        with pytest.raises(InputError, match="below the Nyquist frequency"):
+            harmonic_spectrum(Activation.relu(), f0=f0, fs=fs)
+
     def test_report_fields(self):
         rep = harmonic_spectrum(Activation.relu())
         assert np.all(np.diff(rep.frequencies) > 0)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,8 @@ class TestUncomputableValues:
         (["esn", "--act", "qt", "--v0", "1e300"], "gives a non-finite constant"),
         (["spectrum", "--fs", "0"], "fs must be positive and finite"),
         (["spectrum", "--fs", "-1024"], "fs must be positive and finite"),
+        (["spectrum", "--fs", "1e-300"], "must lie below the Nyquist frequency"),
+        (["spectrum", "--f0", "512"], "must lie below the Nyquist frequency"),
         (["wavepacket", "--k0x", "1e300"], "k0x=1e+300 overflows the default barrier height"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
     def test_exit_1_with_one_line(self, tmp_path, capsys, cmd, message):
@@ -432,10 +435,16 @@ class TestWavepacketNaN:
     def test_nan_state_exit_2(self, tmp_path, capsys):
         # a packet far narrower than the grid normalises to NaN; the norm
         # check must not let it through as a converged run
-        code = main(["wavepacket", "--sigma", "1e-300", "--nx", "32", "--ny", "32",
-                     "--dx", "0.4", "--steps", "3", "--x0", "3", "--barrier-x", "8",
-                     "--outdir", str(tmp_path / "frames"), "--out", str(tmp_path / "r.json")])
+        # pytest records warnings instead of printing them, so count them too
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["wavepacket", "--sigma", "1e-300", "--nx", "32", "--ny", "32",
+                         "--dx", "0.4", "--steps", "3", "--x0", "3", "--barrier-x", "8",
+                         "--outdir", str(tmp_path / "frames"),
+                         "--out", str(tmp_path / "r.json")])
         assert code == EXIT_NUMERIC
-        assert capsys.readouterr().err.splitlines()[-1] == (
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
             "numerical failure: norm nan diverged at step 1")
         assert not (tmp_path / "r.json").exists()
+        assert len(err.splitlines()) == 1 and not caught, (err, [str(w.message) for w in caught])

@@ -149,6 +149,12 @@ class TestFit:
         with pytest.raises(InputError):
             esn_fit(model, np.linspace(0, 1, 40))
 
+    def test_negative_washout_rejected(self):
+        # it would leave readout columns that no reservoir state fills
+        model = small_esn(washout=-5)
+        with pytest.raises(InputError, match="washout must be non-negative"):
+            esn_fit(model, np.linspace(0, 1, 40))
+
     def test_small_instance_against_oracle(self):
         model = esn_build(n_reservoir=10, rho_target=0.8, density=1.0, seed=7,
                           washout=5, ridge_lambda=1e-8)
@@ -230,6 +236,103 @@ class TestFreeRun:
         with pytest.raises(NumericalFailure, match="not finite from step 1") as err:
             esn_free_run(model, series, 10)
         assert err.value.step == 1
+
+
+
+def count_drives(monkeypatch):
+    """Record the input of every reservoir step taken through ``_drive``."""
+    import qtnn.esn as esn_mod
+
+    calls = []
+    real = esn_mod._drive
+
+    def drive(model, h, u):
+        calls.append(u)
+        return real(model, h, u)
+
+    monkeypatch.setattr(esn_mod, "_drive", drive)
+    return calls
+
+
+def redriven(model, warm, horizon):
+    """Free run that forces the reservoir from zero over an equal copy of ``warm``."""
+    model.fit_end = None
+    return esn_free_run(model, np.array(warm, copy=True), horizon)
+
+
+class TestFitState:
+    HORIZON = 30
+
+    def fitted(self, series=None):
+        series = mackey_glass(MgConfig(), 300) if series is None else series
+        model = small_esn()
+        esn_fit(model, series)
+        return model, series
+
+    def test_continued_forecast_equals_redriven_bytes(self, monkeypatch):
+        model, series = self.fitted()
+        calls = count_drives(monkeypatch)
+        continued = esn_free_run(model, series, self.HORIZON)
+        assert len(calls) == self.HORIZON  # no warm-up steps
+        calls.clear()
+        again = redriven(model, series, self.HORIZON)
+        assert len(calls) == series.size - 1 + self.HORIZON
+        assert continued.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("index, value", [(17, 0.5), (5, -0.0)])
+    def test_different_warm_series_drives_from_zero(self, monkeypatch, index, value):
+        series = mackey_glass(MgConfig(), 300)
+        series[5] = 0.0  # so -0.0 differs from the fitted value only in its bytes
+        model, _ = self.fitted(series)
+        warm = series.copy()
+        warm[index] = value
+        calls = count_drives(monkeypatch)
+        forecast = esn_free_run(model, warm, self.HORIZON)
+        assert len(calls) == series.size - 1 + self.HORIZON
+        assert forecast.tobytes() == redriven(model, warm, self.HORIZON).tobytes()
+
+    def test_refit_replaces_recorded_state(self, monkeypatch):
+        model, first = self.fitted()
+        second = mackey_glass(MgConfig(tau_mg=20.0), 300)
+        esn_fit(model, second)
+        assert np.array_equal(model.fit_end.inputs, second[:-1])
+        calls = count_drives(monkeypatch)
+        esn_free_run(model, first, self.HORIZON)
+        assert len(calls) == first.size - 1 + self.HORIZON
+        calls.clear()
+        continued = esn_free_run(model, second, self.HORIZON)
+        assert len(calls) == self.HORIZON
+        assert continued.tobytes() == redriven(model, second, self.HORIZON).tobytes()
+
+    def test_failed_readout_keeps_previous_fit(self, monkeypatch):
+        import qtnn.esn as esn_mod
+
+        model, series = self.fitted()
+        w_out, fit_end = model.w_out, model.fit_end
+
+        def singular(states, targets, ridge_lambda):
+            raise SingularMatrixError(0, 0.0)
+
+        monkeypatch.setattr(esn_mod, "ridge_readout", singular)
+        with pytest.raises(SingularMatrixError):
+            esn_fit(model, series[::-1])
+        assert model.w_out is w_out and model.fit_end is fit_end
+
+    @pytest.mark.parametrize("name", ["w_in", "w_res"])
+    def test_replaced_reservoir_drives_from_zero(self, monkeypatch, name):
+        model, series = self.fitted()
+        setattr(model, name, getattr(model, name).copy())
+        calls = count_drives(monkeypatch)
+        forecast = esn_free_run(model, series, self.HORIZON)
+        assert len(calls) == series.size - 1 + self.HORIZON
+        assert forecast.tobytes() == redriven(model, series, self.HORIZON).tobytes()
+
+    def test_replaced_activation_drives_from_zero(self, monkeypatch):
+        model, series = self.fitted()
+        model.act = Activation.tanh()  # equal to the fitted one, but a new object
+        calls = count_drives(monkeypatch)
+        esn_free_run(model, series, self.HORIZON)
+        assert len(calls) == series.size - 1 + self.HORIZON
 
 
 class TestMse:
