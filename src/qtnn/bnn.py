@@ -14,6 +14,17 @@ that noise vector directly is therefore distribution-identical to
 materializing all of eps_1 and two orders of magnitude cheaper at MNIST
 width.  Layer 2 is always sampled literally, entry by entry, because the
 same eps_2 realization appears in both the forward and backward passes.
+
+With batch size one and no gradient clipping (which is what ``qtnn train
+bnn`` always runs) the W1 gradient x^T dhidden is rank one, so the SGD step
+touches only the rows of W1_mean whose input feature is non-zero and the
+dense gradient is never formed.  Each entry is still the one rounded
+product x_i * dhidden_j scaled by the learning rate, so the result is
+bit-identical to the dense step, except that a W1_mean entry of exactly
+-0.0 on a zero-input row stays -0.0 where the dense step may turn it into
++0.0 by subtracting -0.0.  Larger batches and clipped runs keep the dense
+step: the clip norm is a sum over the dense gradient, and the zero-std
+model matches the feedforward trainer only if that sum is formed alike.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ __all__ = [
     "bnn_predict",
     "bnn_train",
     "bnn_evaluate",
-    "prediction_report",
 ]
 
 
@@ -134,19 +144,28 @@ def bnn_predict(model, x, rng):
     return acc / model.n_samples
 
 
+def _backward_hidden(cache, dlogits):
+    """(dhidden, gb1, gw2, gb2): the backward pass short of the W1 gradient.
+
+    dhidden is the loss gradient w.r.t. z1, so the W1 gradient is
+    ``x.T @ dhidden``; the sampled w2 appears in the backward chain.
+    """
+    h, dh, w2s = cache["h"], cache["dh"], cache["w2s"]
+    gw2 = h.T @ dlogits
+    gb2 = dlogits.sum(axis=0, keepdims=True)
+    dhidden = (dlogits @ w2s.T) * dh
+    gb1 = dhidden.sum(axis=0, keepdims=True)
+    return dhidden, gb1, gw2, gb2
+
+
 def _backward_means(model, cache, dlogits):
     """Gradients w.r.t. the means and biases through the sampled weights.
 
     dW/dW_mean = 1 entrywise, so the mean gradients equal the sampled-weight
-    gradients; the sampled w2 appears in the backward chain.
+    gradients.
     """
-    x, h, dh, w2s = cache["x"], cache["h"], cache["dh"], cache["w2s"]
-    gw2 = h.T @ dlogits
-    gb2 = dlogits.sum(axis=0, keepdims=True)
-    dhidden = (dlogits @ w2s.T) * dh
-    gw1 = x.T @ dhidden
-    gb1 = dhidden.sum(axis=0, keepdims=True)
-    return gw1, gb1, gw2, gb2
+    dhidden, gb1, gw2, gb2 = _backward_hidden(cache, dlogits)
+    return cache["x"].T @ dhidden, gb1, gw2, gb2
 
 
 def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False, eval_every=None):
@@ -156,7 +175,9 @@ def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False, eval_eve
     either way).  With batch size 1 and ``literal_sampling`` off, layer-1
     noise is sampled in its exact z1 distribution as described in the
     module docstring; any larger batch falls back to literal entry-wise
-    sampling since the shared draw then correlates rows.
+    sampling since the shared draw then correlates rows.  Independently of
+    the sampling path, batch size 1 without clipping updates only the W1
+    rows of non-zero input features (see the module docstring).
 
     ``eval_every`` controls how often (in epochs) the posterior-averaged
     metrics on ``eval_data`` are recorded; default only after the last epoch.
@@ -166,6 +187,7 @@ def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False, eval_eve
     eval_root = Rng(cfg.seed).spawn(3)
     n = data.n_samples
     use_fast = cfg.batch_size == 1 and not literal_sampling
+    sparse_w1 = cfg.batch_size == 1 and cfg.clip_norm is None
     w1_var = None
     if use_fast:
         w1_var = model.w1_std**2  # stds never change during training
@@ -194,10 +216,15 @@ def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False, eval_eve
                 )
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, start // cfg.batch_size)
-            grads = _backward_means(model, cache, dlogits)
-            clip_gradients(grads, cfg.clip_norm)
-            gw1, gb1, gw2, gb2 = grads
-            model.w1_mean -= cfg.lr * gw1
+            if sparse_w1:
+                dhidden, gb1, gw2, gb2 = _backward_hidden(cache, dlogits)
+                nz = np.flatnonzero(xb[0])  # zero features leave their W1 rows alone
+                model.w1_mean[nz] -= cfg.lr * (xb[0, nz, None] * dhidden)
+            else:
+                grads = _backward_means(model, cache, dlogits)
+                clip_gradients(grads, cfg.clip_norm)
+                gw1, gb1, gw2, gb2 = grads
+                model.w1_mean -= cfg.lr * gw1
             model.b1 -= cfg.lr * gb1
             model.w2_mean -= cfg.lr * gw2
             model.b2 -= cfg.lr * gb2
@@ -227,16 +254,3 @@ def bnn_evaluate(model, data, rng, batch_size=512):
         true_p = np.clip((probs * yb).sum(axis=1), 1e-300, None)
         total_loss += float(-np.log(true_p).sum())
     return correct / n, total_loss / n
-
-
-def prediction_report(model, x, rng):
-    """Per-class mean probability and across-sample spread for one batch."""
-    x = as_matrix(x, "x", allow_vector=True)
-    draws = np.empty((model.n_samples, x.shape[0], model.w2_mean.shape[1]))
-    for i in range(model.n_samples):
-        draws[i], _, _, _, _ = bnn_sample_forward(model, x, rng.spawn(i))
-    return {
-        "mean_probability": draws.mean(axis=0),
-        "std_probability": draws.std(axis=0),
-        "n_samples": model.n_samples,
-    }

@@ -228,6 +228,8 @@ def esn_free_run(model, warm, horizon):
     warm = np.asarray(warm, dtype=np.float64)
     if warm.size <= model.washout:
         raise InputError("warmup series must cover the washout")
+    if horizon < 0:
+        raise InputError(f"horizon must be >= 0, got {horizon}")
     h = _fitted_state(model, warm[:-1])
     if h is None:
         h = _run_reservoir(model, warm[:-1], np.zeros(model.n_reservoir))

@@ -308,6 +308,8 @@ class Rng:
                 self._buf = block
                 self._pos = count
                 count = 0
+        if not chunks:
+            return np.empty(0, dtype=np.uint64)
         if len(chunks) == 1:
             return chunks[0].copy()
         return np.concatenate(chunks)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_gradient
-from qtnn.activation import Activation
+from qtnn.activation import Activation, activate, softmax_crossentropy
 from qtnn.bnn import (
     _backward_means,
     _forward_with_weights,
@@ -11,18 +11,60 @@ from qtnn.bnn import (
     bnn_predict,
     bnn_sample_forward,
     bnn_train,
-    prediction_report,
 )
 from qtnn.checkpoint import load_bnn, save_bnn
-from qtnn.data import FormatError
+from qtnn.data import FormatError, LabeledDataset
 from qtnn.fnn import fnn_forward, fnn_init, fnn_train
 from qtnn.numerics import Rng
-from qtnn.trainutil import TrainConfig, init_stream
+from qtnn.trainutil import TrainConfig, init_stream, noise_stream, shuffle_stream
 from test_fnn import separable_toy_set
 
 
 def small_model(std=0.0, seed=0, kind=None):
     return bnn_init(4, 5, 3, kind or Activation.relu(), init_stream(seed), std_init=std)
+
+
+def zero_rich_set(n=30, n_features=12, n_classes=3, seed=0):
+    """Rows with at least half their features exactly zero; the last row is all zero."""
+    rng = np.random.default_rng(seed)
+    inputs = np.zeros((n, n_features))
+    for row in inputs[:-1]:
+        live = rng.choice(n_features, rng.integers(1, n_features // 2 + 1), replace=False)
+        row[live] = rng.uniform(0.05, 1.0, live.size)
+    onehot = np.eye(n_classes)[rng.integers(0, n_classes, n)]
+    return LabeledDataset(inputs, onehot, [f"c{k}" for k in range(n_classes)])
+
+
+def dense_batch1_train(model, data, cfg, literal):
+    """bnn_train's batch-1, unclipped loop with the dense W1 step; returns the epoch losses."""
+    rng_shuffle = shuffle_stream(cfg.seed)
+    rng_noise = noise_stream(cfg.seed)
+    w1_var = model.w1_std**2
+    losses = []
+    for _ in range(cfg.epochs):
+        epoch_loss = 0.0
+        for i in rng_shuffle.permutation(data.n_samples):
+            xb = data.inputs[[i]]
+            yb = data.labels_onehot[[i]]
+            if literal:
+                _, cache, _, loss, dlogits = bnn_sample_forward(model, xb, rng_noise, onehot=yb)
+            else:
+                noise_scale = np.sqrt((xb[0] ** 2) @ w1_var)
+                z1 = xb @ model.w1_mean + model.b1
+                z1 += noise_scale * rng_noise.normals(z1.shape[1])
+                h, dh = activate(z1, model.hidden_act)
+                eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
+                w2s = model.w2_mean + model.w2_std * eps2
+                _, loss, dlogits = softmax_crossentropy(h @ w2s + model.b2, yb)
+                cache = {"x": xb, "h": h, "dh": dh, "w2s": w2s}
+            gw1, gb1, gw2, gb2 = _backward_means(model, cache, dlogits)
+            model.w1_mean -= cfg.lr * gw1
+            model.b1 -= cfg.lr * gb1
+            model.w2_mean -= cfg.lr * gw2
+            model.b2 -= cfg.lr * gb2
+            epoch_loss += loss
+        losses.append(epoch_loss / data.n_samples)
+    return losses
 
 
 class TestSampleForward:
@@ -91,12 +133,6 @@ class TestPredict:
         outs = np.array([bnn_predict(model, x, Rng(trial)) for trial in range(10)])
         assert outs.std(axis=0).max() > 1e-4
 
-    def test_report_uncertainty(self):
-        model = small_model(std=0.3)
-        rep = prediction_report(model, np.ones((2, 4)), Rng(0))
-        assert rep["mean_probability"].shape == (2, 3)
-        assert rep["std_probability"].max() > 0.0
-
 
 class TestGradients:
     def test_frozen_eps_mean_gradients(self):
@@ -154,6 +190,20 @@ class TestTraining:
         assert np.array_equal(bmodel.b1, fmodel.b1)
         assert btrace.train_loss == ftrace.train_loss
 
+    @pytest.mark.parametrize("literal", [False, True], ids=["fast-path", "literal"])
+    def test_zero_std_sparse_step_equals_fnn(self, literal):
+        data = zero_rich_set()
+        cfg = TrainConfig(lr=0.3, epochs=3, batch_size=1, clip_norm=None, seed=17)
+        bmodel = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.0)
+        btrace = bnn_train(bmodel, data, cfg, literal_sampling=literal)
+        fmodel = fnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed))
+        ftrace = fnn_train(fmodel, data, cfg)
+        assert np.array_equal(bmodel.w1_mean, fmodel.w1)
+        assert np.array_equal(bmodel.w2_mean, fmodel.w2)
+        assert np.array_equal(bmodel.b1, fmodel.b1)
+        assert np.array_equal(bmodel.b2, fmodel.b2)
+        assert btrace.train_loss == ftrace.train_loss
+
     def test_fast_path_noise_distribution_matches_literal(self):
         # layer-1 noise: Var(z1_j) must equal (x^2) @ (std^2) per unit
         rng = np.random.default_rng(0)
@@ -193,6 +243,23 @@ class TestTraining:
         acc, _ = bnn_evaluate(model, data, Rng(0))
         assert trace.train_loss[-1] < trace.train_loss[0]
         assert acc >= 0.9
+
+
+class TestSparseStepOracle:
+    @pytest.mark.parametrize("std", [0.0, 0.01])
+    @pytest.mark.parametrize("literal", [False, True], ids=["fast-path", "literal"])
+    def test_bit_equal_to_dense_step(self, literal, std):
+        data = zero_rich_set()
+        assert (data.inputs == 0.0).mean(axis=1).min() >= 0.5
+        assert not data.inputs[-1].any()
+        cfg = TrainConfig(lr=0.3, epochs=3, batch_size=1, clip_norm=None, seed=29)
+        model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=std)
+        ref = model.copy()
+        trace = bnn_train(model, data, cfg, literal_sampling=literal)
+        ref_losses = dense_batch1_train(ref, data, cfg, literal)
+        for name in ("w1_mean", "b1", "w2_mean", "b2"):
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert trace.train_loss == ref_losses
 
 
 class TestCheckpoint:

@@ -191,6 +191,20 @@ class TestFreeRun:
         with pytest.raises(InputError):
             esn_free_run(model, np.zeros(100), 10)
 
+    def test_zero_horizon_is_empty(self):
+        series = mackey_glass(MgConfig(), 300)
+        model = small_esn()
+        esn_fit(model, series)
+        forecast = esn_free_run(model, series, 0)
+        assert forecast.shape == (0,)
+
+    def test_negative_horizon_rejected(self):
+        series = mackey_glass(MgConfig(), 300)
+        model = small_esn()
+        esn_fit(model, series)
+        with pytest.raises(InputError, match="horizon"):
+            esn_free_run(model, series, -3)
+
     def test_teacher_forced_beats_free_run(self):
         series = mackey_glass(MgConfig(), 1200)
         train, test = series[:800], series[800:]

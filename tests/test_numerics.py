@@ -283,6 +283,17 @@ class TestRng:
         b = Rng(77)
         assert np.array_equal(chunks, b.uniforms(5014))
 
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    @pytest.mark.parametrize("draw", ["uniforms", "normals"])
+    def test_empty_draw_keeps_stream(self, draw, buffered):
+        a, b = Rng(11), Rng(11)
+        if buffered:  # one word drawn leaves the rest of its block buffered
+            a.next_u64()
+            b.next_u64()
+        empty = getattr(a, draw)(0)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        assert np.array_equal(a.uniforms(10), b.uniforms(10))
+
     def test_permutation_is_permutation(self):
         p = Rng(3).permutation(100)
         assert sorted(p.tolist()) == list(range(100))
