@@ -307,13 +307,16 @@ def softmax_crossentropy(logits, onehot):
         raise ShapeError(f"logits {z.shape} and onehot {y.shape} differ")
     if np.any(np.abs(y.sum(axis=1) - 1.0) > 1e-9):
         raise InputError("each onehot row must sum to 1")
+    probs = softmax(z)
+    return probs, float(_crossentropy_rows(z, y).mean()), (probs - y) / z.shape[0]
+
+
+def _crossentropy_rows(z, y):
+    """Cross-entropy of each row of 2-D logits ``z`` against one-hot rows ``y``."""
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     # -sum_i y_i log p_i computed from logits, no log of an underflowed prob
-    per_row = log_norm - (shifted * y).sum(axis=1)
-    probs = softmax(z)
-    batch = z.shape[0]
-    return probs, float(per_row.mean()), (probs - y) / batch
+    return log_norm - (shifted * y).sum(axis=1)
 
 
 @dataclass

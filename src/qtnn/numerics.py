@@ -387,5 +387,10 @@ class Rng:
 
     def spawn(self, key):
         """Independent child generator derived from (seed, key)."""
-        mixed = (self.seed + _GOLDEN * (int(key) + 1)) & _MASK64
+        return Rng.substream(self.seed, key)
+
+    @staticmethod
+    def substream(seed, key):
+        """``Rng(seed).spawn(key)`` without seeding the lanes of ``Rng(seed)``."""
+        mixed = (int(seed) + _GOLDEN * (int(key) + 1)) & _MASK64
         return Rng(int(_splitmix64_stream(mixed, 1)[0]))

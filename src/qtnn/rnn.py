@@ -8,6 +8,13 @@ time and global-norm gradient clipping.
 Tokens enter either through a learned embedding (default) or, when the
 model is built without one, as one-hot rows of the full vocabulary; both
 reduce to row lookups.
+
+Evaluation runs a corpus in lock-step: the phrases are zero-padded into one
+(n, L_max) block and step t updates the rows longer than t as one block, so
+a pass makes L_max activation calls, not one per token.  It is bit-identical
+to running each phrase alone: the stacked (rows, 1, k) @ (k, m) matmuls use
+the same per-row gemv as a 1-D ``row @ W``, the activation is elementwise,
+and the losses are folded left to right in corpus order.
 """
 
 from __future__ import annotations
@@ -16,15 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import Activation, activate, softmax_crossentropy
+from .activation import Activation, _crossentropy_rows, activate, softmax, softmax_crossentropy
 from .data import split_corpus
 from .numerics import InputError
-from .trainutil import (
-    TrainingDiverged,
-    TrainingTrace,
-    clip_gradients,
-    shuffle_stream,
-)
+from .trainutil import TrainingDiverged, TrainingTrace, clip_gradients, shuffle_stream
 
 __all__ = ["RnnModel", "rnn_init", "rnn_forward", "rnn_train", "rnn_evaluate"]
 
@@ -82,34 +84,49 @@ def _check_sequence(model, seq):
     return seq
 
 
-def _unroll(model, seq, grad=True):
-    """Forward through time, caching what BPTT needs.
+def _pack(model, corpus):
+    """Checked token ids zero-padded into an (n, L_max) block, lengths, labels."""
+    lengths = [len(seq) for seq in corpus.phrases]
+    tokens = np.zeros((len(lengths), max(lengths, default=0)), dtype=np.int64)
+    for row, seq in zip(tokens, corpus.phrases):
+        row[:len(seq)] = _check_sequence(model, seq)
+    return tokens, np.asarray(lengths, dtype=np.int64), np.asarray(corpus.labels, dtype=np.int64)
 
-    With ``grad`` off the activation derivatives are skipped and ``dacts``
-    is None, for callers that only read the states and logits.
+
+def _rows_at(rows, w):
+    """``rows @ w`` as a stacked product: one gemv per row, like a 1-D ``row @ w``."""
+    return (rows[:, None, :] @ w)[:, 0]
+
+
+def _unroll(model, tokens, lengths=None, grad=True):
+    """Forward through time for an (n, L) block of token ids, caching what BPTT needs.
+
+    Row i runs ``lengths[i]`` steps (all L when ``lengths`` is None), then keeps
+    its last state.  Returns states (L + 1, n, hidden), activation derivatives
+    (L, n, hidden), or None with ``grad`` off, and logits (n, classes).
     """
-    steps = len(seq)
-    n_hidden = model.n_hidden
-    states = np.zeros((steps + 1, n_hidden))
-    dacts = np.zeros((steps, n_hidden)) if grad else None
-    for t, token in enumerate(seq):
-        drive = model.wx[token] if model.embed is None else model.embed[token] @ model.wx
-        z = drive + states[t] @ model.wh + model.bh[0]
+    n, steps = tokens.shape
+    states = np.zeros((steps + 1, n, model.n_hidden))
+    dacts = np.zeros((steps, n, model.n_hidden)) if grad else None
+    for t in range(steps):
+        live = slice(None) if lengths is None else lengths > t
+        token = tokens[live, t]
+        drive = model.wx[token] if model.embed is None else _rows_at(model.embed[token], model.wx)
+        z = drive + _rows_at(states[t, live], model.wh) + model.bh[0]
         h, dh = activate(z, model.hidden_act, grad=grad)
-        states[t + 1] = h
+        states[t + 1] = states[t]
+        states[t + 1, live] = h
         if grad:
-            dacts[t] = dh
-    logits = states[-1] @ model.wy + model.by[0]
+            dacts[t, live] = dh
+    logits = _rows_at(states[-1], model.wy) + model.by[0]
     return states, dacts, logits
 
 
 def rnn_forward(model, seq):
     """Class probabilities for one sequence plus all hidden states h_1..h_T."""
-    from .activation import softmax
-
     seq = _check_sequence(model, seq)
-    states, _, logits = _unroll(model, seq, grad=False)
-    return softmax(logits), states[1:]
+    states, _, logits = _unroll(model, seq[None], grad=False)
+    return softmax(logits[0]), states[1:, 0]
 
 
 def _backward(model, seq, states, dacts, dlogits):
@@ -138,26 +155,27 @@ def _backward(model, seq, states, dacts, dlogits):
 def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
     """Per-sequence SGD with BPTT over a stratified train/test split.
 
-    The split is derived from ``cfg.seed`` so runs are reproducible.  When
-    ``stop_train_loss`` is set, training stops at the end of the first epoch
-    where train accuracy is 1.0 and train loss is below the threshold.
-    Returns (trace, train_corpus, test_corpus).
+    The split is derived from ``cfg.seed`` so runs are reproducible.  Every
+    phrase is checked before the first update, so a bad token leaves the
+    model untouched.  When ``stop_train_loss`` is set, training stops at the
+    end of the first epoch where train accuracy is 1.0 and train loss is
+    below the threshold.  Returns (trace, train_corpus, test_corpus).
     """
     train_set, test_set = split_corpus(corpus, train_frac, seed=cfg.seed)
+    train, test = _pack(model, train_set), _pack(model, test_set)
+    tokens, lengths, labels = train
+    onehots = np.eye(model.wy.shape[1])[labels]
     rng_shuffle = shuffle_stream(cfg.seed)
     trace = TrainingTrace()
-    n = len(train_set.phrases)
     for epoch in range(cfg.epochs):
-        order = rng_shuffle.permutation(n)
+        order = rng_shuffle.permutation(len(labels))
         for rank, idx in enumerate(order):
-            seq = _check_sequence(model, train_set.phrases[idx])
-            onehot = np.zeros((1, model.wy.shape[1]))
-            onehot[0, train_set.labels[idx]] = 1.0
-            states, dacts, logits = _unroll(model, seq)
-            _, loss, dlogits = softmax_crossentropy(logits[None, :], onehot)
+            seq = tokens[idx, :lengths[idx]]
+            states, dacts, logits = _unroll(model, seq[None])
+            _, loss, dlogits = softmax_crossentropy(logits, onehots[idx:idx + 1])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, rank)
-            grads = _backward(model, seq, states, dacts, dlogits[0])
+            grads = _backward(model, seq, states[:, 0], dacts[:, 0], dlogits[0])
             live = [g for g in grads if g is not None]
             clip_gradients(live, cfg.clip_norm)
             gwx, gwh, gbh, gwy, gby, gembed = grads
@@ -168,9 +186,9 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
             model.by[0] -= cfg.lr * gby
             if gembed is not None:
                 model.embed -= cfg.lr * gembed
-        train_acc, train_loss = rnn_evaluate(model, train_set)
+        train_acc, train_loss = _score(model, *train)
         if len(test_set.phrases):
-            test_acc, test_loss = rnn_evaluate(model, test_set)
+            test_acc, test_loss = _score(model, *test)
             trace.record(train_loss, train_acc, test_loss, test_acc)
         else:
             trace.record(train_loss, train_acc)
@@ -180,18 +198,18 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
 
 
 def rnn_evaluate(model, corpus):
-    """(accuracy, mean loss) over a corpus of sequences."""
-    if not corpus.phrases:
+    """(accuracy, mean loss) over a corpus of sequences, run in lock-step."""
+    return _score(model, *_pack(model, corpus))
+
+
+def _score(model, tokens, lengths, labels):
+    """(accuracy, mean loss) of a packed corpus."""
+    if not len(labels):
         raise InputError("corpus is empty")
-    correct = 0
+    _, _, logits = _unroll(model, tokens, lengths, grad=False)
+    losses = _crossentropy_rows(logits, np.eye(model.wy.shape[1])[labels])
     total_loss = 0.0
-    for seq, label in zip(corpus.phrases, corpus.labels):
-        seq = _check_sequence(model, seq)
-        _, _, logits = _unroll(model, seq, grad=False)
-        onehot = np.zeros((1, model.wy.shape[1]))
-        onehot[0, label] = 1.0
-        probs, loss, _ = softmax_crossentropy(logits[None, :], onehot)
+    for loss in losses.tolist():  # in corpus order; sum() may compensate
         total_loss += loss
-        correct += int(probs[0].argmax() == label)
-    n = len(corpus.phrases)
-    return correct / n, total_loss / n
+    correct = np.count_nonzero(softmax(logits).argmax(axis=1) == labels)
+    return int(correct) / len(labels), total_loss / len(labels)

@@ -31,15 +31,15 @@ NOISE_SUBSTREAM = 2
 
 
 def init_stream(seed):
-    return Rng(seed).spawn(INIT_SUBSTREAM)
+    return Rng.substream(seed, INIT_SUBSTREAM)
 
 
 def shuffle_stream(seed):
-    return Rng(seed).spawn(SHUFFLE_SUBSTREAM)
+    return Rng.substream(seed, SHUFFLE_SUBSTREAM)
 
 
 def noise_stream(seed):
-    return Rng(seed).spawn(NOISE_SUBSTREAM)
+    return Rng.substream(seed, NOISE_SUBSTREAM)
 
 
 @dataclass

@@ -331,6 +331,12 @@ class TestRng:
         assert Rng(42).spawn(1).next_u64() == r.spawn(1).next_u64()
         assert r.spawn(1).next_u64() != r.spawn(2).next_u64()
 
+    @pytest.mark.parametrize("seed", [0, 42, -5, 2**64 - 1, 2**70 + 3])
+    def test_substream_equals_spawn(self, seed):
+        for key in (0, 1, 2, 9):
+            assert np.array_equal(Rng.substream(seed, key).normals(9),
+                                  Rng(seed).spawn(key).normals(9))
+
     def test_integer_bounds(self):
         r = Rng(6)
         draws = [r.integer(7) for _ in range(2000)]

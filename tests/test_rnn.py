@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import qtnn.rnn
 from conftest import numeric_gradient
-from qtnn.activation import Activation, softmax
+from qtnn.activation import Activation, activate, softmax, softmax_crossentropy
 from qtnn.checkpoint import load_rnn, save_rnn
 from qtnn.data import FormatError, SentimentCorpus, bundled_sentiment_path, load_sentiment
 from qtnn.numerics import InputError, Rng
@@ -30,8 +31,6 @@ class TestForward:
         model = rnn_init(6, 4, 3, Activation.tanh(), Rng(1))
         token = 2
         probs, states = rnn_forward(model, [token])
-        from qtnn.activation import activate
-
         z = model.embed[token] @ model.wx + model.bh[0]  # h0 = 0 kills wh
         h, _ = activate(z, model.hidden_act)
         expected = softmax(h @ model.wy + model.by[0])
@@ -68,7 +67,7 @@ class TestBpttGradients:
             seq = rng.integers(0, 6, int(rng.integers(1, 6))).tolist()
             label = int(rng.integers(0, 2))
             model = rnn_init(6, int(rng.integers(2, 5)), 2, kind, Rng(int(rng.integers(1 << 30))), n_embed=3)
-            states, dacts, logits = _unroll(model, np.asarray(seq))
+            states, dacts, logits = _unroll(model, np.asarray(seq)[None])
             # keep FD clear of activation kinks
             pre_ok = True
             h = np.zeros(model.n_hidden)
@@ -77,22 +76,18 @@ class TestBpttGradients:
                 if np.min(np.abs(z)) < 1e-3:
                     pre_ok = False
                     break
-                from qtnn.activation import activate
-
                 h = activate(z, kind)[0]
             if not pre_ok:
                 continue
             onehot = np.zeros((1, 2))
             onehot[0, label] = 1.0
-            from qtnn.activation import softmax_crossentropy
-
-            _, _, dlogits = softmax_crossentropy(logits[None, :], onehot)
-            analytic = _backward(model, np.asarray(seq), states, dacts, dlogits[0])
+            _, _, dlogits = softmax_crossentropy(logits, onehot)
+            analytic = _backward(model, np.asarray(seq), states[:, 0], dacts[:, 0], dlogits[0])
             params = [model.wx, model.wh, model.bh, model.wy, model.by, model.embed]
 
             def loss_fn():
-                _, _, lg = _unroll(model, np.asarray(seq))
-                return softmax_crossentropy(lg[None, :], onehot)[1]
+                _, _, lg = _unroll(model, np.asarray(seq)[None])
+                return softmax_crossentropy(lg, onehot)[1]
 
             numeric = numeric_gradient(loss_fn, params, h=1e-5)
             names = ["wx", "wh", "bh", "wy", "by", "embed"]
@@ -179,6 +174,85 @@ class TestTraining:
         corpus = two_phrase_corpus()
         _, loss = rnn_evaluate(model, corpus)
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
+
+
+def per_sequence_scores(model, corpus):
+    """(accuracy, mean loss) one phrase and one token at a time with 1-D matmuls."""
+    correct, total_loss = 0, 0.0
+    for seq, label in zip(corpus.phrases, corpus.labels):
+        h = np.zeros(model.n_hidden)
+        for token in seq:
+            drive = model.wx[token] if model.embed is None else model.embed[token] @ model.wx
+            h = activate(drive + h @ model.wh + model.bh[0], model.hidden_act, grad=False)[0]
+        onehot = np.zeros((1, model.wy.shape[1]))
+        onehot[0, label] = 1.0
+        probs, loss, _ = softmax_crossentropy((h @ model.wy + model.by[0])[None, :], onehot)
+        total_loss += loss
+        correct += int(probs[0].argmax() == label)
+    return correct / len(corpus.phrases), total_loss / len(corpus.phrases)
+
+
+class TestLockStepEvaluation:
+    KINDS = [Activation.qt(ampl=5.0), Activation.qt(mode="absolute"),
+             Activation.qt(mode="bipolar"), Activation.tanh()]
+
+    @staticmethod
+    def mixed_length_corpus(vocab_size=9):
+        rng = np.random.default_rng(11)
+        lengths = rng.permutation(np.repeat(np.arange(1, 8), 3))
+        phrases = [rng.integers(0, vocab_size, n).tolist() for n in lengths]
+        return SentimentCorpus(phrases, rng.integers(0, 2, len(phrases)).tolist(),
+                               {f"w{i}": i for i in range(1, vocab_size)})
+
+    @pytest.mark.parametrize("n_embed", [4, None], ids=["embed", "onehot"])
+    @pytest.mark.parametrize("kind", KINDS, ids=["qt", "qt-absolute", "qt-bipolar", "tanh"])
+    def test_bit_equal_to_per_sequence_loop(self, kind, n_embed):
+        corpus = self.mixed_length_corpus()
+        for seed in range(4):
+            model = rnn_init(corpus.vocab_size, 6, 2, kind, Rng(seed), n_embed=n_embed)
+            model.bh[:] = Rng(seed + 100).normal_matrix(1, 6)
+            for w in (model.wx, model.wh, model.wy):
+                w *= 3.0
+            assert repr(rnn_evaluate(model, corpus)) == repr(per_sequence_scores(model, corpus))
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "sequence must be non-empty"),
+        ([3, 9, 1], "token indices must lie in [0, 9), got range [1, 9]"),
+        ([-1, 2], "token indices must lie in [0, 9), got range [-1, 2]"),
+    ], ids=["empty", "out-of-vocab", "negative"])
+    def test_first_bad_sequence_named(self, bad, message):
+        corpus = self.mixed_length_corpus()
+        corpus.phrases[4] = bad
+        corpus.phrases[9] = [] if bad else [9]  # a later bad phrase must not be the one named
+        model = rnn_init(corpus.vocab_size, 3, 2, Activation.tanh(), Rng(0))
+        with pytest.raises(InputError) as err:
+            rnn_evaluate(model, corpus)
+        assert str(err.value) == message
+
+    def test_one_activation_call_per_step(self, monkeypatch):
+        corpus = load_sentiment(bundled_sentiment_path())
+        model = rnn_init(corpus.vocab_size, 8, 2, Activation.qt(), Rng(0))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return activate(*args, **kwargs)
+
+        monkeypatch.setattr(qtnn.rnn, "activate", counting)
+        rnn_evaluate(model, corpus)
+        assert len(calls) == max(len(p) for p in corpus.phrases)
+        assert calls[0] == (len(corpus.phrases), 8)
+
+    def test_bad_phrase_leaves_model_untouched(self):
+        corpus = load_sentiment(bundled_sentiment_path())
+        corpus.phrases[-1] = corpus.phrases[-1] + [corpus.vocab_size]
+        model = rnn_init(corpus.vocab_size, 8, 2, Activation.qt(), init_stream(0))
+        before = model.copy()
+        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=1, clip_norm=5.0, seed=0)
+        with pytest.raises(InputError, match="token indices"):
+            rnn_train(model, corpus, cfg)
+        for name in ("embed", "wx", "wh", "bh", "wy", "by"):
+            assert np.array_equal(getattr(model, name), getattr(before, name)), name
 
 
 class TestCheckpoint:
