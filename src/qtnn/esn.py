@@ -109,9 +109,8 @@ def esn_build(
             "rho_target >= 1 abandons the echo-state guarantee; "
             "pass allow_rho_ge_1=True to override"
         )
-    base = Rng(seed)
     for attempt in range(16):
-        rng = base.spawn(attempt)
+        rng = Rng.substream(seed, attempt)
         w_in = rng.uniform_matrix(n_reservoir, 1 + n_input)
         w_res = rng.uniform_matrix(n_reservoir, n_reservoir)
         if density < 1.0:

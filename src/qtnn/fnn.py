@@ -3,7 +3,9 @@
 Forward pass: z1 = x W1 + b1, h = act(z1), logits = h W2 + b2, softmax.
 The backward pass propagates the softmax/cross-entropy error through the
 cached activation derivative (elementwise product), clips the global
-gradient norm and applies plain SGD.
+gradient norm and applies plain SGD.  The sampled-weight BNN (``bnn``)
+runs the same layers above z1, backward pass and clipped step, and both
+trainers run the epoch loop ``trainutil.sgd_train``.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ import numpy as np
 
 from .activation import Activation, activate, softmax, softmax_crossentropy
 from .numerics import ShapeError, as_matrix
-from .trainutil import (
-    TrainingDiverged,
-    TrainingTrace,
-    clip_gradients,
-    shuffle_stream,
-)
+from .trainutil import clip_gradients, sgd_train
 
 __all__ = ["FnnModel", "fnn_init", "fnn_forward", "fnn_backward", "fnn_train", "fnn_evaluate"]
 
@@ -52,13 +49,54 @@ def fnn_init(n_features, n_hidden, n_classes, hidden_act, rng):
     return FnnModel(w1, np.zeros((1, n_hidden)), w2, np.zeros((1, n_classes)), hidden_act).check()
 
 
-def _forward(model, x, grad):
-    """Checked input, hidden values (with dT/dE when ``grad``) and logits."""
+def _check_input(x, n_features):
     x = as_matrix(x, "x", allow_vector=True)
-    if x.shape[1] != model.w1.shape[0]:
-        raise ShapeError(f"x has {x.shape[1]} features, model expects {model.w1.shape[0]}")
-    h, dh = activate(x @ model.w1 + model.b1, model.hidden_act, grad=grad)
-    return x, h, dh, h @ model.w2 + model.b2
+    if x.shape[1] != n_features:
+        raise ShapeError(f"x has {x.shape[1]} features, model expects {n_features}")
+    return x
+
+
+def _dense_forward(x, z1, w2, b2, act, onehot=None, grad=True):
+    """The layers above z1 = x W1 + b1 -> (probs, cache, loss, dlogits).
+
+    Shared with the sampled-weight BNN.  Without ``onehot`` loss and dlogits
+    are None, and without ``grad`` the cached dT/dE is None.  The cache keeps
+    the w2 the pass used under "w2s" (the BNN passes its sampled draw).
+    """
+    h, dh = activate(z1, act, grad=grad)
+    logits = h @ w2 + b2
+    cache = {"x": x, "h": h, "dh": dh, "w2s": w2}
+    if onehot is None:
+        return softmax(logits), cache, None, None
+    probs, loss, dlogits = softmax_crossentropy(logits, onehot)
+    return probs, cache, loss, dlogits
+
+
+def _backward_hidden(cache, dlogits):
+    """(dhidden, gb1, gw2, gb2): the backward pass short of the W1 gradient.
+
+    dhidden is the loss gradient w.r.t. z1, so the W1 gradient is
+    ``x.T @ dhidden``; the cached w2 appears in the backward chain.
+    """
+    h, dh, w2 = cache["h"], cache["dh"], cache["w2s"]
+    gw2 = h.T @ dlogits
+    gb2 = dlogits.sum(axis=0, keepdims=True)
+    dhidden = (dlogits @ w2.T) * dh
+    gb1 = dhidden.sum(axis=0, keepdims=True)
+    return dhidden, gb1, gw2, gb2
+
+
+def _dense_step(params, grads, cfg):
+    """Clip the gradients to the global norm ``cfg.clip_norm``, then one SGD step in place."""
+    clip_gradients(grads, cfg.clip_norm)
+    for p, g in zip(params, grads):
+        p -= cfg.lr * g
+
+
+def _forward(model, x, onehot=None, grad=True):
+    x = _check_input(x, model.w1.shape[0])
+    z1 = x @ model.w1 + model.b1
+    return _dense_forward(x, z1, model.w2, model.b2, model.hidden_act, onehot, grad)
 
 
 def fnn_forward(model, x, onehot=None):
@@ -67,23 +105,16 @@ def fnn_forward(model, x, onehot=None):
     With ``onehot`` given, also returns (loss, dlogits) from the softmax
     cross-entropy; otherwise those slots are None.
     """
-    x, h, dh, logits = _forward(model, x, True)
-    cache = {"x": x, "h": h, "dh": dh}
-    if onehot is None:
-        return softmax(logits), cache, None, None
-    probs, loss, dlogits = softmax_crossentropy(logits, onehot)
-    return probs, cache, loss, dlogits
+    return _forward(model, x, onehot)
 
 
 def fnn_backward(model, cache, dlogits):
-    """Gradients for (w1, b1, w2, b2) from a cached forward pass."""
-    x, h, dh = cache["x"], cache["h"], cache["dh"]
-    gw2 = h.T @ dlogits
-    gb2 = dlogits.sum(axis=0, keepdims=True)
-    dhidden = (dlogits @ model.w2.T) * dh
-    gw1 = x.T @ dhidden
-    gb1 = dhidden.sum(axis=0, keepdims=True)
-    return gw1, gb1, gw2, gb2
+    """Gradients for (w1, b1, w2, b2) from a cached forward pass.
+
+    The pass's own weights come from the cache, so ``model`` is not read.
+    """
+    dhidden, gb1, gw2, gb2 = _backward_hidden(cache, dlogits)
+    return cache["x"].T @ dhidden, gb1, gw2, gb2
 
 
 def fnn_train(model, data, cfg, eval_data=None):
@@ -93,35 +124,13 @@ def fnn_train(model, data, cfg, eval_data=None):
     (running means over the batches actually seen) and on ``eval_data``
     when provided.
     """
-    rng_shuffle = shuffle_stream(cfg.seed)
-    n = data.n_samples
-    trace = TrainingTrace()
-    for epoch in range(cfg.epochs):
-        order = rng_shuffle.permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for start in range(0, n, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            xb = data.inputs[batch_idx]
-            yb = data.labels_onehot[batch_idx]
-            probs, cache, loss, dlogits = fnn_forward(model, xb, yb)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, start // cfg.batch_size)
-            grads = fnn_backward(model, cache, dlogits)
-            clip_gradients(grads, cfg.clip_norm)
-            gw1, gb1, gw2, gb2 = grads
-            model.w1 -= cfg.lr * gw1
-            model.b1 -= cfg.lr * gb1
-            model.w2 -= cfg.lr * gw2
-            model.b2 -= cfg.lr * gb2
-            epoch_loss += loss * len(batch_idx)
-            epoch_correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-        if eval_data is not None:
-            ev_acc, ev_loss = fnn_evaluate(model, eval_data)
-            trace.record(epoch_loss / n, epoch_correct / n, ev_loss, ev_acc)
-        else:
-            trace.record(epoch_loss / n, epoch_correct / n)
-    return trace
+    params = (model.w1, model.b1, model.w2, model.b2)
+    return sgd_train(
+        data, cfg,
+        lambda xb, yb: fnn_forward(model, xb, yb),
+        lambda cache, dlogits: _dense_step(params, fnn_backward(model, cache, dlogits), cfg),
+        None if eval_data is None else lambda epoch: fnn_evaluate(model, eval_data),
+    )
 
 
 def fnn_evaluate(model, data, batch_size=1024):
@@ -133,7 +142,7 @@ def fnn_evaluate(model, data, batch_size=1024):
         xb = data.inputs[start : start + batch_size]
         yb = data.labels_onehot[start : start + batch_size]
         # values only: the hidden-unit derivatives of fnn_forward go unused here
-        probs, loss, _ = softmax_crossentropy(_forward(model, xb, False)[3], yb)
+        probs, _, loss, _ = _forward(model, xb, yb, grad=False)
         correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
         total_loss += loss * xb.shape[0]
     return correct / n, total_loss / n

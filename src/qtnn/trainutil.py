@@ -1,9 +1,12 @@
-"""Shared training plumbing: configs, traces, clipping, divergence errors.
+"""Shared training plumbing: configs, traces, clipping, divergence errors
+and the mini-batch SGD loop of the dense classifiers.
 
 All trainers derive their random streams from ``Rng(cfg.seed)`` the same
-way — substream 0 initializes weights, substream 1 drives shuffling and
-substream 2 (Bayesian trainer only) drives weight-noise draws — so models
-that coincide mathematically also coincide bit-for-bit under one seed.
+way — substream 0 initializes weights, substream 1 drives shuffling,
+substream 2 (Bayesian trainer only) drives weight-noise draws and
+substream 3 (Bayesian trainer only) drives the posterior draws that score
+``eval_data`` — so models that coincide mathematically also coincide
+bit-for-bit under one seed.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ __all__ = [
     "init_stream",
     "shuffle_stream",
     "noise_stream",
+    "eval_stream",
+    "sgd_train",
 ]
 
 INIT_SUBSTREAM = 0
 SHUFFLE_SUBSTREAM = 1
 NOISE_SUBSTREAM = 2
+EVAL_SUBSTREAM = 3
 
 
 def init_stream(seed):
@@ -40,6 +46,10 @@ def shuffle_stream(seed):
 
 def noise_stream(seed):
     return Rng.substream(seed, NOISE_SUBSTREAM)
+
+
+def eval_stream(seed):
+    return Rng.substream(seed, EVAL_SUBSTREAM)
 
 
 @dataclass
@@ -118,3 +128,36 @@ def clip_gradients(grads, clip_norm):
         for g in grads:
             g *= scale
     return norm
+
+
+def sgd_train(data, cfg, forward, update, evaluate=None):
+    """Shuffled mini-batch epochs over ``data``; returns the TrainingTrace.
+
+    ``forward(xb, yb)`` returns (probs, cache, loss, dlogits) for one batch
+    and ``update(cache, dlogits)`` applies its SGD step.  The loss is
+    checked before the step, so a batch whose loss is NaN raises
+    TrainingDiverged with the weights as that batch found them.  The trace
+    records the running mean loss and accuracy over each epoch's batches,
+    plus the (accuracy, loss) that ``evaluate(epoch)`` returns, unless that
+    is (None, None).
+    """
+    rng_shuffle = shuffle_stream(cfg.seed)
+    n = data.n_samples
+    trace = TrainingTrace()
+    for epoch in range(cfg.epochs):
+        order = rng_shuffle.permutation(n)
+        epoch_loss = 0.0
+        epoch_correct = 0
+        for start in range(0, n, cfg.batch_size):
+            batch_idx = order[start : start + cfg.batch_size]
+            xb = data.inputs[batch_idx]
+            yb = data.labels_onehot[batch_idx]
+            probs, cache, loss, dlogits = forward(xb, yb)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(epoch, start // cfg.batch_size)
+            update(cache, dlogits)
+            epoch_loss += loss * len(batch_idx)
+            epoch_correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
+        ev_acc, ev_loss = evaluate(epoch) if evaluate is not None else (None, None)
+        trace.record(epoch_loss / n, epoch_correct / n, ev_loss, ev_acc)
+    return trace

@@ -177,10 +177,14 @@ class TestTraining:
         bnn_train(model, data, TrainConfig(lr=0.3, epochs=3, batch_size=1, seed=1))
         assert np.array_equal(model.w1_std, before_w1_std)
 
-    @pytest.mark.parametrize("literal", [False, True], ids=["fast-path", "literal"])
-    def test_zero_std_trajectory_equals_fnn(self, literal):
+    @pytest.mark.parametrize(
+        "literal, batch_size, clip_norm",
+        [(False, 1, 5.0), (True, 1, 5.0), (False, 4, 5.0), (False, 4, None)],
+        ids=["fast-path", "literal", "batch4-clipped", "batch4-unclipped"],
+    )
+    def test_zero_std_trajectory_equals_fnn(self, literal, batch_size, clip_norm):
         data = separable_toy_set()
-        cfg = TrainConfig(lr=0.2, epochs=4, batch_size=1, clip_norm=5.0, seed=13)
+        cfg = TrainConfig(lr=0.2, epochs=4, batch_size=batch_size, clip_norm=clip_norm, seed=13)
         bmodel = bnn_init(2, 4, 2, Activation.qt(), init_stream(cfg.seed), std_init=0.0)
         btrace = bnn_train(bmodel, data, cfg, literal_sampling=literal)
         fmodel = fnn_init(2, 4, 2, Activation.qt(), init_stream(cfg.seed))

@@ -69,7 +69,7 @@ GOLDEN = {
     "esn":
         "e2854f1971f31b499246ce19583d5ed2f2d7add20cf244270e1b37c894ac263b",
     "spectrum":
-        "1a141a6bf6381084af223c66e98a5f67ba7cd5d3278b6e752b3c2f9ed18dc8f7",
+        "aad7b1bf55d6b1220e41387e07004fdb972ea6648f152e311a8381a74ffdf2d1",
     "train-bnn":
         "11bb3933266748e6aeb9438a33792f69dab8f27fc5d05090d9e8a267a80d7831",
     "train-fnn":

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import numeric_gradient
 from qtnn.activation import Activation
+from qtnn.bnn import bnn_init, bnn_train
 from qtnn.checkpoint import load_fnn, save_fnn
 from qtnn.data import FormatError, LabeledDataset
 from qtnn.fnn import fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_train
@@ -142,6 +143,27 @@ class TestTraining:
             fnn_train(model, data, TrainConfig(lr=1e160, epochs=5, batch_size=4,
                                                clip_norm=None, seed=6))
         assert err.value.epoch >= 0 and err.value.batch >= 0
+
+        # an infinite w2 makes the very first loss NaN: the loss is checked
+        # before the step, so every weight keeps its bytes from before training
+        fnn = fnn_init(2, 4, 2, Activation.qt(), init_stream(6))
+        bnn = bnn_init(2, 4, 2, Activation.qt(), init_stream(6), std_init=0.01)
+        fnn.w2[:] = np.inf
+        bnn.w2_mean[:] = np.inf
+        bnn_names = ("w1_mean", "b1", "w2_mean", "b2")
+        runs = [
+            (fnn, ("w1", "b1", "w2", "b2"), fnn_train, 4, 5.0),
+            (bnn, bnn_names, bnn_train, 1, None),  # the row-sparse W1 step
+            (bnn, bnn_names, bnn_train, 4, 5.0),   # the dense clipped step
+        ]
+        for model, names, train, batch_size, clip_norm in runs:
+            before = [getattr(model, name).tobytes() for name in names]
+            cfg = TrainConfig(lr=0.1, epochs=2, batch_size=batch_size,
+                              clip_norm=clip_norm, seed=6)
+            with pytest.raises(TrainingDiverged) as err:
+                train(model, data, cfg)
+            assert (err.value.epoch, err.value.batch) == (0, 0)
+            assert [getattr(model, name).tobytes() for name in names] == before
 
     def test_clip_bound(self):
         rng = np.random.default_rng(0)
