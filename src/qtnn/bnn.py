@@ -110,7 +110,11 @@ def bnn_sample_forward(model, x, rng, onehot=None):
     (row-major) followed by all of eps_2.  Without ``onehot`` the loss,
     dlogits and the cached activation derivative ``cache["dh"]`` are None.
     """
-    x = _check_input(x, model.w1_mean.shape[0])
+    return _sample_forward(model, _check_input(x, model.w1_mean.shape[0]), rng, onehot)
+
+
+def _sample_forward(model, x, rng, onehot=None):
+    """bnn_sample_forward on an ``x`` that _check_input has already passed."""
     # both draws before either sum: this order of the W1-sized allocations
     # keeps glibc's heap trimmable; forming w1s before drawing eps2 left
     # perfbench bnn-fashion's peak_rss_mb 9% higher on some seeds
@@ -128,9 +132,10 @@ def bnn_predict(model, x, rng):
     Each draw runs from its own child stream (seed, sample index), so the
     average is independent of evaluation order or parallel scheduling.
     """
+    x = _check_input(x, model.w1_mean.shape[0])
     acc = 0.0
     for i in range(model.n_samples):
-        probs, _, _, _, _ = bnn_sample_forward(model, x, rng.spawn(i))
+        probs, _, _, _, _ = _sample_forward(model, x, rng.spawn(i))
         acc += probs
     return acc / model.n_samples
 
@@ -199,7 +204,7 @@ def bnn_evaluate(model, data, rng, batch_size=512):
     correct = 0
     total_loss = 0.0
     for start in range(0, n, batch_size):
-        xb = data.inputs[start : start + batch_size]
+        xb = data.rows(slice(start, start + batch_size))
         yb = data.labels_onehot[start : start + batch_size]
         probs = bnn_predict(model, xb, rng.spawn(start))
         correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())

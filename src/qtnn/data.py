@@ -5,6 +5,10 @@ Three data sources feed the benchmarks: IDX-format image/label pairs
 two-column CSV form, and a Mackey-Glass delay-differential time series
 integrated on the fly.  The dataset root directory is ``./data`` unless
 the ``QTNN_DATA_DIR`` environment variable points elsewhere.
+
+Images stay in memory as the uint8 codes read from the file; a
+``LabeledDataset`` divides a batch's rows by 255 when the batch is read
+(``rows``), so no float64 copy of a whole split is ever made.
 """
 
 from __future__ import annotations
@@ -58,34 +62,55 @@ def data_dir():
 
 @dataclass
 class LabeledDataset:
-    """Flattened inputs in [0, 1] with one-hot labels."""
+    """Flattened inputs ``codes / scale`` in [0, 1] with one-hot labels.
 
-    inputs: np.ndarray         # samples x features, float64 in [0, 1]
+    The inputs are kept as the stored ``codes`` (uint8 pixel values for IDX
+    images, at 1/8 the memory of float64) and turned into float64 only for
+    the rows a caller asks for, through :meth:`rows`.  Float inputs go in
+    as ``codes`` with the default ``scale`` of 1.
+    """
+
+    codes: np.ndarray          # samples x features, values in [0, scale]
     labels_onehot: np.ndarray  # samples x classes, rows one-hot
     class_names: list
+    scale: float = 1.0
 
     def __post_init__(self):
-        if self.inputs.ndim != 2 or self.labels_onehot.ndim != 2:
+        if self.codes.ndim != 2 or self.labels_onehot.ndim != 2:
             raise FormatError("inputs and labels must be 2-D")
-        if self.inputs.shape[0] != self.labels_onehot.shape[0]:
+        if self.codes.shape[0] != self.labels_onehot.shape[0]:
             raise FormatError(
-                f"{self.inputs.shape[0]} inputs vs {self.labels_onehot.shape[0]} labels"
+                f"{self.codes.shape[0]} inputs vs {self.labels_onehot.shape[0]} labels"
             )
-        if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
-            raise FormatError("inputs must lie in [0, 1]")
+        if not 0.0 < self.scale < np.inf:
+            raise FormatError(f"scale must be positive and finite, got {self.scale}")
+        # written so that NaN fails it too
+        if self.codes.size and not (
+            self.codes.min() >= 0 and self.codes.max() <= self.scale
+        ):
+            raise FormatError(f"inputs must lie in [0, {self.scale:g}]")
         row_sums = self.labels_onehot.sum(axis=1)
         if not np.all(row_sums == 1.0) or not np.all(
             (self.labels_onehot == 0.0) | (self.labels_onehot == 1.0)
         ):
             raise FormatError("labels must be one-hot rows")
 
+    def rows(self, index):
+        """Float64 inputs of the rows ``codes[index]``, each code divided by scale."""
+        return np.divide(self.codes[index], self.scale, dtype=np.float64)
+
+    @property
+    def inputs(self):
+        """Every row as float64.  Hot paths read batches through :meth:`rows`."""
+        return self.rows(slice(None))
+
     @property
     def n_samples(self):
-        return self.inputs.shape[0]
+        return self.codes.shape[0]
 
     @property
     def n_features(self):
-        return self.inputs.shape[1]
+        return self.codes.shape[1]
 
     @property
     def n_classes(self):
@@ -96,7 +121,7 @@ class LabeledDataset:
 
     def subset(self, indices):
         return LabeledDataset(
-            self.inputs[indices], self.labels_onehot[indices], self.class_names
+            self.codes[indices], self.labels_onehot[indices], self.class_names, self.scale
         )
 
 
@@ -105,9 +130,19 @@ def _read_maybe_gzip(path):
     blob = Path(path).read_bytes()
     if blob[:2] == b"\x1f\x8b":
         import gzip
+        import zlib
 
-        blob = gzip.decompress(blob)
+        try:
+            blob = gzip.decompress(blob)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as err:
+            raise FormatError(f"{path}: corrupt gzip stream: {err}") from None
     return blob
+
+
+def _check_length(blob, need, path):
+    if len(blob) != need:
+        what = "truncated payload" if len(blob) < need else "trailing bytes"
+        raise FormatError(f"{path}: {what}, have {len(blob)} bytes, need {need}")
 
 
 def _read_be32(blob, offset, path):
@@ -119,9 +154,10 @@ def _read_be32(blob, offset, path):
 def load_idx(images_path, labels_path, class_names=None):
     """Load an IDX image/label file pair into a LabeledDataset.
 
-    Big-endian headers, image magic 2051 and label magic 2049.  Pixels are
-    scaled by 1/255 and flattened row-major; labels are one-hot over 10
-    classes.
+    Big-endian headers, image magic 2051 and label magic 2049; each file
+    must be exactly as long as its header says.  The pixels stay the uint8
+    codes of the file, flattened row-major, with scale 255 (a read-only
+    view of the file's bytes); labels are one-hot over 10 classes.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     img_blob = _read_maybe_gzip(images_path)
@@ -135,11 +171,7 @@ def load_idx(images_path, labels_path, class_names=None):
     n_images = _read_be32(img_blob, 4, images_path)
     rows = _read_be32(img_blob, 8, images_path)
     cols = _read_be32(img_blob, 12, images_path)
-    need = 16 + n_images * rows * cols
-    if len(img_blob) < need:
-        raise FormatError(
-            f"{images_path}: truncated payload, have {len(img_blob)} bytes, need {need}"
-        )
+    _check_length(img_blob, 16 + n_images * rows * cols, images_path)
 
     magic = _read_be32(lab_blob, 0, labels_path)
     if magic != LABEL_MAGIC:
@@ -151,10 +183,7 @@ def load_idx(images_path, labels_path, class_names=None):
         raise FormatError(
             f"count mismatch: {n_images} images vs {n_labels} labels"
         )
-    if len(lab_blob) < 8 + n_labels:
-        raise FormatError(
-            f"{labels_path}: truncated payload, have {len(lab_blob)} bytes, need {8 + n_labels}"
-        )
+    _check_length(lab_blob, 8 + n_labels, labels_path)
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n_images * rows * cols, offset=16)
     labels = np.frombuffer(lab_blob, dtype=np.uint8, count=n_labels, offset=8)
@@ -162,11 +191,10 @@ def load_idx(images_path, labels_path, class_names=None):
         bad = int(np.argmax(labels > 9))
         raise FormatError(f"{labels_path}: label {labels[bad]} at item {bad} exceeds 9")
 
-    inputs = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     onehot = np.zeros((n_images, 10))
     onehot[np.arange(n_images), labels] = 1.0
     names = class_names if class_names is not None else list(MNIST_CLASS_NAMES)
-    return LabeledDataset(inputs, onehot, names)
+    return LabeledDataset(pixels.reshape(n_images, rows * cols), onehot, names, 255.0)
 
 
 def _idx_pair(root, split):
@@ -318,36 +346,40 @@ def mackey_glass(cfg, n_samples, normalize=True):
     lag = int(round(cfg.tau_mg / dt))
 
     # ring buffer holds x at the last lag+1 grid points; before t=0 the
-    # history is the constant x0
-    ring = np.full(lag + 1, cfg.x0)
+    # history is the constant x0.  Lists and Python floats throughout: the
+    # loop is scalar, and numpy scalar arithmetic would take several times as long
+    slots = lag + 1
+    ring = [float(cfg.x0)] * slots
     head = 0  # position of x(t) within the ring
 
-    def rhs(x, x_delayed):
-        return beta * x_delayed / (1.0 + x_delayed**q) - gamma * x
+    def delayed(x_delayed):
+        # the delay term of the right-hand side beta x_d / (1 + x_d^q) - gamma x
+        return beta * x_delayed / (1.0 + x_delayed**q)
 
-    total = (n_samples + cfg.transient) * cfg.sample_every
+    x = ring[head]
+    d_oldest = delayed(ring[1 % slots])
+    # an ndarray: after a list of the 5000 emitted floats is freed, the
+    # interpreter's allocator keeps about 60 KiB of it resident
     out = np.empty(n_samples + cfg.transient)
-    emitted = 0
-    x = cfg.x0
-    for step in range(total):
-        # delayed values: x(t - tau) is the oldest ring slot, x(t + dt - tau)
-        # the next one; the half step is their midpoint (linear interpolation)
-        oldest = ring[(head + 1) % (lag + 1)]
-        if lag == 1:
-            nxt = ring[head]
-        else:
-            nxt = ring[(head + 2) % (lag + 1)]
-        half = 0.5 * (oldest + nxt)
-        k1 = rhs(x, oldest)
-        k2 = rhs(x + 0.5 * dt * k1, half)
-        k3 = rhs(x + 0.5 * dt * k2, half)
-        k4 = rhs(x + dt * k3, nxt)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        head = (head + 1) % (lag + 1)
-        ring[head] = x
-        if (step + 1) % cfg.sample_every == 0:
-            out[emitted] = x
-            emitted += 1
+    for i in range(out.size):
+        for _ in range(cfg.sample_every):
+            # delayed values: x(t - tau) is the oldest ring slot, x(t + dt - tau)
+            # the next one (x(t) itself when lag == 1); the half step is their
+            # midpoint (linear interpolation)
+            oldest = ring[(head + 1) % slots]
+            nxt = ring[(head + 2) % slots]
+            half = 0.5 * (oldest + nxt)
+            d_half = delayed(half)
+            d_next = delayed(nxt)
+            k1 = d_oldest - gamma * x
+            k2 = d_half - gamma * (x + 0.5 * dt * k1)
+            k3 = d_half - gamma * (x + 0.5 * dt * k2)
+            k4 = d_next - gamma * (x + dt * k3)
+            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            head = (head + 1) % slots
+            ring[head] = x
+            d_oldest = d_next  # the next step's oldest slot is this step's nxt
+        out[i] = x
     series = out[cfg.transient :]
     if normalize:
         lo, hi = series.min(), series.max()

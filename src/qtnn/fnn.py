@@ -49,10 +49,14 @@ def fnn_init(n_features, n_hidden, n_classes, hidden_act, rng):
     return FnnModel(w1, np.zeros((1, n_hidden)), w2, np.zeros((1, n_classes)), hidden_act).check()
 
 
+def _check_width(width, n_features):
+    if width != n_features:
+        raise ShapeError(f"x has {width} features, model expects {n_features}")
+
+
 def _check_input(x, n_features):
     x = as_matrix(x, "x", allow_vector=True)
-    if x.shape[1] != n_features:
-        raise ShapeError(f"x has {x.shape[1]} features, model expects {n_features}")
+    _check_width(x.shape[1], n_features)
     return x
 
 
@@ -94,7 +98,7 @@ def _dense_step(params, grads, cfg):
 
 
 def _forward(model, x, onehot=None, grad=True):
-    x = _check_input(x, model.w1.shape[0])
+    """The forward pass of a float64 matrix ``x`` that is finite and as wide as W1."""
     z1 = x @ model.w1 + model.b1
     return _dense_forward(x, z1, model.w2, model.b2, model.hidden_act, onehot, grad)
 
@@ -105,7 +109,7 @@ def fnn_forward(model, x, onehot=None):
     With ``onehot`` given, also returns (loss, dlogits) from the softmax
     cross-entropy; otherwise those slots are None.
     """
-    return _forward(model, x, onehot)
+    return _forward(model, _check_input(x, model.w1.shape[0]), onehot)
 
 
 def fnn_backward(model, cache, dlogits):
@@ -135,11 +139,13 @@ def fnn_train(model, data, cfg, eval_data=None):
 
 def fnn_evaluate(model, data, batch_size=1024):
     """(accuracy, mean loss) over a dataset; argmax ties go to the lowest class."""
+    # a LabeledDataset's rows are finite by construction: only the width is checked
+    _check_width(data.n_features, model.w1.shape[0])
     n = data.n_samples
     correct = 0
     total_loss = 0.0
     for start in range(0, n, batch_size):
-        xb = data.inputs[start : start + batch_size]
+        xb = data.rows(slice(start, start + batch_size))
         yb = data.labels_onehot[start : start + batch_size]
         # values only: the hidden-unit derivatives of fnn_forward go unused here
         probs, _, loss, _ = _forward(model, xb, yb, grad=False)

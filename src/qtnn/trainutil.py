@@ -150,7 +150,7 @@ def sgd_train(data, cfg, forward, update, evaluate=None):
         epoch_correct = 0
         for start in range(0, n, cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
-            xb = data.inputs[batch_idx]
+            xb = data.rows(batch_idx)
             yb = data.labels_onehot[batch_idx]
             probs, cache, loss, dlogits = forward(xb, yb)
             if not np.isfinite(loss):

@@ -15,7 +15,7 @@ from qtnn.bnn import (
 from qtnn.checkpoint import load_bnn, save_bnn
 from qtnn.data import FormatError, LabeledDataset
 from qtnn.fnn import fnn_forward, fnn_init, fnn_train
-from qtnn.numerics import Rng
+from qtnn.numerics import InputError, Rng, ShapeError
 from qtnn.trainutil import TrainConfig, init_stream, noise_stream, shuffle_stream
 from test_fnn import separable_toy_set
 
@@ -116,6 +116,26 @@ class TestPredict:
         pred = bnn_predict(model, x, Rng(31))
         direct, _, _, _, _ = bnn_sample_forward(model, x, Rng(31).spawn(0))
         assert np.array_equal(pred, direct)
+
+    def test_input_checked_once_per_call(self, monkeypatch):
+        import qtnn.bnn
+
+        model = small_model(std=0.05)
+        model.n_samples = 6
+        x = np.random.default_rng(3).random((5, 4))
+        calls = []
+        check = qtnn.bnn._check_input
+        monkeypatch.setattr(qtnn.bnn, "_check_input", lambda *a: calls.append(1) or check(*a))
+        pred = bnn_predict(model, x, Rng(8))
+        assert len(calls) == 1
+        # the same average as six checked draws from the per-draw child streams
+        draws = [bnn_sample_forward(model, x, Rng(8).spawn(i))[0] for i in range(6)]
+        assert pred.tobytes() == (sum(draws, 0.0) / 6).tobytes()
+        x[1, 2] = np.nan
+        with pytest.raises(InputError, match="NaN"):
+            bnn_predict(model, x, Rng(8))
+        with pytest.raises(ShapeError):
+            bnn_predict(model, np.ones((2, 3)), Rng(8))
 
     def test_rows_sum_to_one(self):
         model = small_model(std=0.2)

@@ -1,11 +1,16 @@
+import gzip
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import write_idx_pair
+from qtnn.activation import Activation
+from qtnn.bnn import bnn_evaluate, bnn_init, bnn_train
+from qtnn.cli import EXIT_INPUT, EXIT_OK, main
 from qtnn.data import (
     FormatError,
+    LabeledDataset,
     MgConfig,
     bundled_sentiment_path,
     data_dir,
@@ -15,7 +20,9 @@ from qtnn.data import (
     mackey_glass,
     split_corpus,
 )
-from qtnn.numerics import InputError
+from qtnn.fnn import fnn_evaluate, fnn_init, fnn_train
+from qtnn.numerics import InputError, Rng
+from qtnn.trainutil import TrainConfig, init_stream
 
 
 class TestIdxLoader:
@@ -189,6 +196,25 @@ class TestMackeyGlass:
         b = mackey_glass(MgConfig(), 300)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("cfg", [
+        MgConfig(),
+        MgConfig(q=7.5),
+        MgConfig(q=10),
+        MgConfig(tau_mg=30.0),
+        MgConfig(tau_mg=0.1, transient=50),  # lag == 1
+        MgConfig(tau_mg=3.0, dt_internal=1.0, sample_every=1, transient=0, x0=0.5),
+    ], ids=["default", "q7.5", "q-int", "tau30", "lag1", "coarse"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_ndarray_ring_reference(self, cfg, normalize):
+        got = mackey_glass(cfg, 400, normalize)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _mackey_glass_ndarray_ring(cfg, 400, normalize).tobytes()
+
+    def test_integer_x0_same_as_float(self):
+        # an integer-typed history buffer would truncate every stored value
+        a = mackey_glass(MgConfig(x0=2), 200, normalize=False)
+        assert a.tobytes() == mackey_glass(MgConfig(x0=2.0), 200, normalize=False).tobytes()
+
     def test_bad_config_rejected(self):
         with pytest.raises(InputError):
             MgConfig(tau_mg=17.0, dt_internal=0.3)  # non-integral delay
@@ -196,3 +222,236 @@ class TestMackeyGlass:
             MgConfig(beta_mg=0.0)
         with pytest.raises(InputError):
             mackey_glass(MgConfig(), 0)
+
+
+def _mackey_glass_ndarray_ring(cfg, n_samples, normalize=True):
+    """Reference: the integrator on an ndarray ring buffer with a right-hand
+    side function called four times per step, as first written."""
+    beta, gamma, q = cfg.beta_mg, cfg.gamma_mg, cfg.q
+    dt = cfg.dt_internal
+    lag = int(round(cfg.tau_mg / dt))
+    ring = np.full(lag + 1, cfg.x0)
+    head = 0
+
+    def rhs(x, x_delayed):
+        return beta * x_delayed / (1.0 + x_delayed**q) - gamma * x
+
+    total = (n_samples + cfg.transient) * cfg.sample_every
+    out = np.empty(n_samples + cfg.transient)
+    emitted = 0
+    x = cfg.x0
+    for step in range(total):
+        oldest = ring[(head + 1) % (lag + 1)]
+        if lag == 1:
+            nxt = ring[head]
+        else:
+            nxt = ring[(head + 2) % (lag + 1)]
+        half = 0.5 * (oldest + nxt)
+        k1 = rhs(x, oldest)
+        k2 = rhs(x + 0.5 * dt * k1, half)
+        k3 = rhs(x + 0.5 * dt * k2, half)
+        k4 = rhs(x + dt * k3, nxt)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        head = (head + 1) % (lag + 1)
+        ring[head] = x
+        if (step + 1) % cfg.sample_every == 0:
+            out[emitted] = x
+            emitted += 1
+    series = out[cfg.transient :]
+    if normalize:
+        lo, hi = series.min(), series.max()
+        span = hi - lo
+        if span == 0.0:
+            return np.zeros_like(series)
+        return (series - lo) / span
+    return series.copy()
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_out_of_range_or_nan_inputs_rejected(self, bad):
+        with pytest.raises(FormatError, match=r"inputs must lie in \[0, 1\]"):
+            LabeledDataset(np.array([[0.5, bad], [0.1, 0.2]]), np.eye(2), ["a", "b"])
+
+    def test_codes_checked_against_scale(self):
+        codes = np.array([[0, 200], [17, 100]], dtype=np.uint8)
+        assert LabeledDataset(codes, np.eye(2), ["a", "b"], 255.0).n_features == 2
+        with pytest.raises(FormatError, match=r"\[0, 100\]"):
+            LabeledDataset(codes, np.eye(2), ["a", "b"], 100.0)
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(FormatError, match="scale"):
+                LabeledDataset(codes, np.eye(2), ["a", "b"], scale)
+
+    def test_rows_divide_every_code_exactly(self):
+        codes = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        data = LabeledDataset(codes, np.eye(16), list("abcdefghijklmnop"), 255.0)
+        want = codes.astype(np.float64) / 255.0
+        assert data.rows(slice(None)).tobytes() == want.tobytes()
+        assert data.rows([3, 0, 3]).tobytes() == want[[3, 0, 3]].tobytes()
+        assert data.inputs.tobytes() == want.tobytes()
+        # the reciprocal product is not the same number for every code
+        assert (codes * (1.0 / 255.0)).tobytes() != want.tobytes()
+
+    def test_subset_keeps_codes_and_scale(self):
+        codes = np.arange(12, dtype=np.uint8).reshape(4, 3)
+        data = LabeledDataset(codes, np.eye(4), list("abcd"), 255.0).subset([2, 0])
+        assert data.codes.dtype == np.uint8 and data.scale == 255.0
+        assert data.codes.tolist() == [[6, 7, 8], [0, 1, 2]]
+
+    def test_load_idx_holds_uint8_codes(self, tmp_path):
+        images = np.arange(5 * 28 * 28, dtype=np.uint8).reshape(5, 28, 28)
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_pair(images, np.arange(5, dtype=np.uint8), ip, lp)
+        ds = load_idx(ip, lp)
+        assert ds.codes.dtype == np.uint8 and ds.codes.nbytes == 5 * 784
+        assert ds.scale == 255.0
+        assert ds.inputs.tobytes() == (images.reshape(5, 784) / 255.0).tobytes()
+
+
+def _pixel_set(n=40, n_features=30, seed=3):
+    """uint8 codes (most of them zero) with one-hot labels over 4 classes."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 256, (n, n_features)).astype(np.uint8)
+    codes[rng.random(codes.shape) < 0.6] = 0
+    return codes, np.eye(4)[rng.integers(0, 4, n)]
+
+
+def _train_and_score(data, test, kind):
+    """Train on ``data`` and score ``test``: the byte strings of the weights
+    and the (accuracy, loss) pairs, for ``kind`` fnn, bnn (batch 1, no clip)
+    or bnn-clipped (batch 4, clipped)."""
+    act = Activation.qt()
+    if kind == "fnn":
+        model = fnn_init(data.n_features, 8, 4, act, init_stream(5))
+        trace = fnn_train(model, data, TrainConfig(lr=0.1, epochs=2, batch_size=8, seed=5),
+                          eval_data=test)
+        weights = (model.w1, model.b1, model.w2, model.b2)
+        score = fnn_evaluate(model, test, batch_size=16)
+    else:
+        tc = (TrainConfig(lr=0.1, epochs=2, batch_size=1, clip_norm=None, seed=5)
+              if kind == "bnn" else TrainConfig(lr=0.1, epochs=2, batch_size=4, seed=5))
+        model = bnn_init(data.n_features, 8, 4, act, init_stream(5), std_init=0.05,
+                         n_samples=3)
+        trace = bnn_train(model, data, tc, eval_data=test)
+        weights = (model.w1_mean, model.b1, model.w2_mean, model.b2)
+        score = bnn_evaluate(model, test, Rng(9), batch_size=16)
+    return [w.tobytes() for w in weights], trace.to_json(), score
+
+
+class TestUint8Storage:
+    """The trainers read uint8 datasets batch by batch, with the same bytes
+    as on float64 inputs, and never convert a whole set."""
+
+    @pytest.mark.parametrize("kind", ["fnn", "bnn", "bnn-clipped"])
+    def test_uint8_codes_train_like_float64_inputs(self, kind):
+        codes, onehot = _pixel_set()
+        names = list("abcd")
+        as_codes = LabeledDataset(codes, onehot, names, 255.0)
+        as_float = LabeledDataset(codes / 255.0, onehot, names)
+        assert as_float.codes.dtype == np.float64 and as_float.scale == 1.0
+        test = (as_codes.subset(np.arange(20, 40)), as_float.subset(np.arange(20, 40)))
+        got = _train_and_score(as_codes.subset(np.arange(20)), test[0], kind)
+        want = _train_and_score(as_float.subset(np.arange(20)), test[1], kind)
+        assert got == want
+
+    def test_no_call_converts_the_whole_set(self, tmp_path, monkeypatch,
+                                            synthetic_image_data):
+        def whole_set(self):
+            raise RuntimeError("a hot path converted every row")
+
+        monkeypatch.setattr(LabeledDataset, "inputs", property(whole_set))
+        codes, onehot = _pixel_set()
+        data = LabeledDataset(codes, onehot, list("abcd"), 255.0)
+        for kind in ("fnn", "bnn", "bnn-clipped"):
+            _train_and_score(data.subset(np.arange(20)), data.subset(np.arange(20, 40)), kind)
+        monkeypatch.setenv("QTNN_DATA_DIR", str(synthetic_image_data))
+        assert main(["train", "fnn", "--hidden", "8", "--epochs", "1", "--batch", "16",
+                     "--out", str(tmp_path / "fnn.json")]) == EXIT_OK
+
+
+def _idx_pair_bytes(n=6, side=4, seed=11):
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, (n, side, side)).astype(np.uint8)
+    labels = rng.integers(0, 10, n).astype(np.uint8)
+    return (struct.pack(">IIII", 0x803, n, side, side) + images.tobytes(),
+            struct.pack(">II", 0x801, n) + labels.tobytes())
+
+
+def _damaged_blobs(blob, header, rng, labels):
+    """Seeded damage to one IDX file: cuts, header byte flips, flipped labels
+    (to values above 9) and trailing bytes; each as written and gzipped."""
+    cuts = set(range(header + 1)) | {len(blob) - 1}
+    cuts |= {int(c) for c in rng.integers(header + 1, len(blob), 3)}
+    damaged = [(f"cut{c}", blob[:c]) for c in sorted(cuts)]
+    for pos in range(header):
+        flipped = bytearray(blob)
+        flipped[pos] ^= int(rng.integers(1, 256))
+        damaged.append((f"flip{pos}", bytes(flipped)))
+    if labels:
+        for pos in rng.choice(np.arange(header, len(blob)), 3, replace=False):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 0xF0 | int(rng.integers(0, 16))
+            damaged.append((f"label{pos}", bytes(flipped)))
+    for extra in (1, 3):
+        tail = rng.integers(0, 256, extra).astype(np.uint8).tobytes()
+        damaged.append((f"tail{extra}", blob + tail))
+    damaged += [(f"{name}.gz", gzip.compress(b, mtime=0)) for name, b in damaged]
+    # damage to the gzip stream of the intact file; bytes 4-9 (mtime, extra
+    # flags, OS) carry no data, and byte 3 (flags) has bits a reader ignores
+    packed = gzip.compress(blob, mtime=0)
+    for cut in sorted({2, 10, len(packed) - 4, len(packed) - 1}
+                      | {int(c) for c in rng.integers(2, len(packed), 3)}):
+        damaged.append((f"gz-cut{cut}", packed[:cut]))
+    for pos in sorted({2, len(packed) - 8, len(packed) - 1}
+                      | {int(p) for p in rng.integers(10, len(packed) - 1, 4)}):
+        flipped = bytearray(packed)
+        flipped[pos] ^= int(rng.integers(1, 256))
+        damaged.append((f"gz-flip{pos}", bytes(flipped)))
+    return damaged
+
+
+def _damaged_pairs():
+    img, lab = _idx_pair_bytes()
+    rng = np.random.default_rng(2024)
+    pairs = [(f"images-{name}", bad, lab)
+             for name, bad in _damaged_blobs(img, 16, rng, labels=False)]
+    pairs += [(f"labels-{name}", img, bad)
+              for name, bad in _damaged_blobs(lab, 8, rng, labels=True)]
+    return pairs
+
+
+class TestIdxCorruption:
+    """A seeded grid of damaged IDX pairs, plain and gzip: every one is a
+    FormatError from the loader and a one-line exit 1 from the CLI."""
+
+    def test_intact_pair_loads(self, tmp_path):
+        img, lab = _idx_pair_bytes()
+        (tmp_path / "i").write_bytes(img)
+        (tmp_path / "l").write_bytes(gzip.compress(lab))
+        assert load_idx(tmp_path / "i", tmp_path / "l").n_samples == 6
+
+    def test_every_damaged_pair_is_a_format_error(self, tmp_path):
+        pairs = _damaged_pairs()
+        assert len(pairs) > 100
+        for name, img, lab in pairs:
+            (tmp_path / "i").write_bytes(img)
+            (tmp_path / "l").write_bytes(lab)
+            with pytest.raises(FormatError):
+                load_idx(tmp_path / "i", tmp_path / "l")
+                pytest.fail(f"{name} loaded")
+
+    def test_cli_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "mnist"
+        root.mkdir()
+        img, lab = _idx_pair_bytes()
+        (root / "t10k-images-idx3-ubyte").write_bytes(img)
+        (root / "t10k-labels-idx1-ubyte").write_bytes(lab)
+        monkeypatch.setenv("QTNN_DATA_DIR", str(tmp_path))
+        for name, bad_img, bad_lab in _damaged_pairs():
+            (root / "train-images-idx3-ubyte").write_bytes(bad_img)
+            (root / "train-labels-idx1-ubyte").write_bytes(bad_lab)
+            code = main(["train", "fnn", "--hidden", "4", "--epochs", "1",
+                         "--out", str(tmp_path / "r.json")])
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT, name
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
