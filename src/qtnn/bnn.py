@@ -37,7 +37,9 @@ import numpy as np
 # dense core in .fnn; they stay bound here because perfbench traces each
 # trainer module's names (bench_workloads.trace_targets)
 from .activation import Activation, activate, softmax_crossentropy  # noqa: F401
-from .fnn import _backward_hidden, _check_input, _dense_forward, _dense_step, fnn_backward
+from .fnn import (
+    _backward_hidden, _check_input, _check_layers, _dense_forward, _dense_step, fnn_backward,
+)
 from .numerics import InputError, ShapeError
 from .trainutil import clip_gradients, eval_stream, noise_stream, sgd_train  # noqa: F401
 
@@ -65,6 +67,7 @@ class BnnModel:
     def check(self):
         if self.w1_mean.shape != self.w1_std.shape or self.w2_mean.shape != self.w2_std.shape:
             raise ShapeError("mean and std shapes differ")
+        _check_layers(self.w1_mean, self.b1, self.w2_mean, self.b2)
         if (self.w1_std < 0).any() or (self.w2_std < 0).any():
             raise InputError("std entries must be non-negative")
         if self.n_samples < 1:
@@ -140,31 +143,23 @@ def bnn_predict(model, x, rng):
     return acc / model.n_samples
 
 
-def _backward_means(model, cache, dlogits):
-    """Gradients w.r.t. the means and biases through the sampled weights.
-
-    dW/dW_mean = 1 entrywise, so the mean gradients equal the sampled-weight
-    gradients, which the feedforward backward pass forms from the cache.
-    """
-    return fnn_backward(model, cache, dlogits)
-
-
-def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False):
+def bnn_train(model, data, cfg, eval_data=None):
     """Per-sample SGD on the weight means; stds are never updated.
 
     ``cfg.batch_size`` defaults to 1 (weights are redrawn once per update
-    either way).  With batch size 1 and ``literal_sampling`` off, layer-1
-    noise is sampled in its exact z1 distribution as described in the
-    module docstring; any larger batch falls back to literal entry-wise
-    sampling since the shared draw then correlates rows.  Independently of
-    the sampling path, batch size 1 without clipping updates only the W1
-    rows of non-zero input features (see the module docstring).
+    either way).  With batch size 1, layer-1 noise is sampled in its exact
+    z1 distribution as described in the module docstring; any larger batch
+    falls back to literal entry-wise sampling since the shared draw then
+    correlates rows.  Batch size 1 without clipping also updates only the
+    W1 rows of non-zero input features (see the module docstring).  The
+    gradients w.r.t. the means equal those w.r.t. the sampled weights
+    (dW/dW_mean = 1 entrywise), so the feedforward backward pass forms them.
 
     The posterior-averaged metrics on ``eval_data`` are recorded after the
     last epoch only.
     """
     rng_noise = noise_stream(cfg.seed)
-    use_fast = cfg.batch_size == 1 and not literal_sampling
+    use_fast = cfg.batch_size == 1
     sparse_w1 = cfg.batch_size == 1 and cfg.clip_norm is None
     w1_var = model.w1_std**2 if use_fast else None  # stds never change during training
     params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
@@ -181,7 +176,7 @@ def bnn_train(model, data, cfg, eval_data=None, literal_sampling=False):
 
     def update(cache, dlogits):
         if not sparse_w1:
-            _dense_step(params, _backward_means(model, cache, dlogits), cfg)
+            _dense_step(params, fnn_backward(model, cache, dlogits), cfg)
             return
         dhidden, *rest = _backward_hidden(cache, dlogits)
         x = cache["x"][0]

@@ -3,7 +3,8 @@
 Layout (little-endian): magic ``QTNN``, format version, an architecture
 tag, the activation description (kind plus barrier parameters for 'qt'),
 a scalar metadata table and finally named float64 arrays in row-major
-order.  Loading rebuilds the exact model, bit for bit.
+order.  Loading rebuilds the exact model, bit for bit; a file whose
+metadata keys or array names differ from its architecture's is rejected.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ __all__ = ["save_fnn", "load_fnn", "save_rnn", "load_rnn", "save_bnn", "load_bnn
 
 _MAGIC = b"QTNN"
 _VERSION = 1
+# array names in file order; each is also the model attribute it holds
+_FNN = ("w1", "b1", "w2", "b2")
+_RNN = ("wx", "wh", "bh", "wy", "by", "embed")
+_BNN = ("w1_mean", "w1_std", "w2_mean", "w2_std", "b1", "b2")
 
 
 def _pack_str(s):
@@ -31,8 +36,9 @@ def _pack_str(s):
     return struct.pack("<B", len(raw)) + raw
 
 
-def _write(path, arch, act, arrays, meta=None):
+def _write(path, arch, model, names, meta=None):
     meta = meta or {}
+    act = model.hidden_act
     chunks = [_MAGIC, struct.pack("<I", _VERSION), _pack_str(arch), _pack_str(act.kind)]
     if act.kind == "qt":
         b = act.barrier
@@ -42,9 +48,9 @@ def _write(path, arch, act, arrays, meta=None):
     for key in sorted(meta):
         chunks.append(_pack_str(key))
         chunks.append(struct.pack("<d", float(meta[key])))
-    chunks.append(struct.pack("<I", len(arrays)))
-    for name, arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+    chunks.append(struct.pack("<I", len(names)))
+    for name in names:
+        arr = np.ascontiguousarray(getattr(model, name), dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"array {name} must be 2-D")
         chunks.append(_pack_str(name))
@@ -82,8 +88,17 @@ class _Reader:
         except UnicodeDecodeError:
             raise FormatError(f"{self.path}: string at byte {start} is not UTF-8") from None
 
+    def name(self, expected, seen, what):
+        """A string that must be one of ``expected`` and not yet in ``seen``."""
+        start = self.pos
+        name = self.string()
+        if name not in expected or name in seen:
+            raise FormatError(f"{self.path}: unexpected {what} {name!r} at byte {start}")
+        return name
 
-def _read(path, expect_arch):
+
+def _read(path, expect_arch, names, meta_keys=()):
+    """(activation, arrays by name, metadata) of a checkpoint holding exactly these names."""
     r = _Reader(path)
     if r.take(4) != _MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic at byte 0")
@@ -102,53 +117,48 @@ def _read(path, expect_arch):
         act = Activation(kind)
     meta = {}
     for _ in range(r.u32()):
-        key = r.string()
+        key = r.name(meta_keys, meta, "metadata key")
         meta[key] = r.f64()
     arrays = {}
     for _ in range(r.u32()):
-        name = r.string()
+        name = r.name(names, arrays, "array")
         rows, cols = struct.unpack("<II", r.take(8))
         data = np.frombuffer(r.take(rows * cols * 8), dtype="<f8")
         arrays[name] = data.reshape(rows, cols).copy()
     if r.pos != len(r.blob):
         raise FormatError(f"{path}: {len(r.blob) - r.pos} trailing bytes at byte {r.pos}")
+    for what, expected, seen in (("metadata key", meta_keys, meta), ("array", names, arrays)):
+        missing = [name for name in expected if name not in seen]
+        if missing:
+            raise FormatError(f"{path}: missing {what} {missing[0]!r}")
     return act, arrays, meta
 
 
 def save_fnn(model, path):
-    _write(path, "fnn", model.hidden_act,
-           [("w1", model.w1), ("b1", model.b1), ("w2", model.w2), ("b2", model.b2)])
+    _write(path, "fnn", model, _FNN)
 
 
 def load_fnn(path):
-    act, arrays, _ = _read(path, "fnn")
-    return FnnModel(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"], act).check()
+    act, arrays, _ = _read(path, "fnn", _FNN)
+    return FnnModel(**arrays, hidden_act=act).check()
 
 
 def save_rnn(model, path):
-    arrays = [("wx", model.wx), ("wh", model.wh), ("bh", model.bh),
-              ("wy", model.wy), ("by", model.by)]
-    if model.embed is not None:
-        arrays.append(("embed", model.embed))
-    _write(path, "rnn", model.hidden_act, arrays)
+    _write(path, "rnn", model, _RNN)
 
 
 def load_rnn(path):
-    act, arrays, _ = _read(path, "rnn")
-    return RnnModel(arrays.get("embed"), arrays["wx"], arrays["wh"], arrays["bh"],
-                    arrays["wy"], arrays["by"], act)
+    act, arrays, _ = _read(path, "rnn", _RNN)
+    return RnnModel(**arrays, hidden_act=act).check()
 
 
 def save_bnn(model, path):
-    _write(path, "bnn", model.hidden_act,
-           [("w1_mean", model.w1_mean), ("w1_std", model.w1_std),
-            ("w2_mean", model.w2_mean), ("w2_std", model.w2_std),
-            ("b1", model.b1), ("b2", model.b2)],
-           meta={"n_samples": model.n_samples})
+    _write(path, "bnn", model, _BNN, meta={"n_samples": model.n_samples})
 
 
 def load_bnn(path):
-    act, arrays, meta = _read(path, "bnn")
-    return BnnModel(arrays["w1_mean"], arrays["w1_std"], arrays["w2_mean"],
-                    arrays["w2_std"], arrays["b1"], arrays["b2"], act,
-                    int(meta.get("n_samples", 50))).check()
+    act, arrays, meta = _read(path, "bnn", _BNN, ("n_samples",))
+    n_samples = meta["n_samples"]
+    if not n_samples.is_integer():
+        raise FormatError(f"{path}: n_samples {n_samples!r} is not an integer")
+    return BnnModel(**arrays, hidden_act=act, n_samples=int(n_samples)).check()

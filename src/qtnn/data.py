@@ -286,7 +286,9 @@ def bundled_sentiment_path():
 
 
 def split_corpus(corpus, train_frac=0.75, seed=0):
-    """Deterministic stratified split into (train, test) corpora."""
+    """Deterministic stratified split into (train, test) corpora; 0 < train_frac <= 1."""
+    if not 0.0 < train_frac <= 1.0:
+        raise InputError(f"train_frac must lie in (0, 1], got {train_frac}")
     rng = Rng(seed)
     labels = np.asarray(corpus.labels)
     train_idx, test_idx = [], []

@@ -59,9 +59,9 @@ class _FitEnd(NamedTuple):
 
 @dataclass
 class EsnModel:
-    w_in: np.ndarray          # N x (1 + M), column 0 is the bias
+    w_in: np.ndarray          # N x 2, column 0 is the bias
     w_res: np.ndarray         # N x N, sparse, scaled to rho_target
-    w_out: np.ndarray | None  # K x (1 + M + N) after fitting
+    w_out: np.ndarray | None  # 1 x (2 + N) after fitting
     act: Activation
     rho_target: float
     washout: int
@@ -74,15 +74,9 @@ class EsnModel:
     def n_reservoir(self):
         return self.w_res.shape[0]
 
-    @property
-    def n_input(self):
-        return self.w_in.shape[1] - 1
-
 
 def esn_build(
     n_reservoir=1000,
-    n_input=1,
-    n_output=1,
     rho_target=0.95,
     density=0.1,
     seed=0,
@@ -92,7 +86,7 @@ def esn_build(
     ridge_lambda=1e-8,
     sr_iters=1000,
 ):
-    """Draw and scale the fixed reservoir; the readout stays unfitted.
+    """Draw and scale the fixed reservoir of a scalar series; the readout stays unfitted.
 
     Entries of W_in and W_res are uniform on (-0.5, 0.5); W_res keeps each
     entry with probability ``density`` and is then rescaled by
@@ -111,7 +105,7 @@ def esn_build(
         )
     for attempt in range(16):
         rng = Rng.substream(seed, attempt)
-        w_in = rng.uniform_matrix(n_reservoir, 1 + n_input)
+        w_in = rng.uniform_matrix(n_reservoir, 2)
         w_res = rng.uniform_matrix(n_reservoir, n_reservoir)
         if density < 1.0:
             mask = rng.uniforms(n_reservoir * n_reservoir).reshape(w_res.shape) < density
@@ -126,7 +120,7 @@ def esn_build(
 
 
 def _drive(model, h, u):
-    pre = model.w_in[:, 0] + model.w_in[:, 1:] @ np.atleast_1d(u) + model.w_res @ h
+    pre = model.w_in[:, 0] + model.w_in[:, 1] * u + model.w_res @ h
     return activate(pre, model.act, grad=False)[0]
 
 
@@ -225,6 +219,8 @@ def esn_free_run(model, warm, horizon):
     if model.w_out is None:
         raise InputError("model has no fitted readout; call esn_fit first")
     warm = np.asarray(warm, dtype=np.float64)
+    if warm.ndim != 1:
+        raise InputError("warmup series must be 1-D")
     if warm.size <= model.washout:
         raise InputError("warmup series must cover the washout")
     if horizon < 0:

@@ -30,16 +30,21 @@ class FnnModel:
     hidden_act: Activation
 
     def check(self):
-        if self.w1.shape[1] != self.w2.shape[0]:
-            raise ShapeError("w1 and w2 hidden dimensions differ")
-        if self.b1.shape != (1, self.w1.shape[1]) or self.b2.shape != (1, self.w2.shape[1]):
-            raise ShapeError("bias shapes do not match weight shapes")
+        _check_layers(self.w1, self.b1, self.w2, self.b2)
         return self
 
     def copy(self):
         return FnnModel(
             self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.hidden_act
         )
+
+
+def _check_layers(w1, b1, w2, b2):
+    """Raise ShapeError unless the two dense layers and their biases conform."""
+    if w1.shape[1] != w2.shape[0]:
+        raise ShapeError("w1 and w2 hidden dimensions differ")
+    if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
+        raise ShapeError("bias shapes do not match weight shapes")
 
 
 def fnn_init(n_features, n_hidden, n_classes, hidden_act, rng):

@@ -5,9 +5,8 @@ initial state; a phrase is classified from the final step's output through
 softmax.  Training is per-sequence SGD with full backpropagation through
 time and global-norm gradient clipping.
 
-Tokens enter either through a learned embedding (default) or, when the
-model is built without one, as one-hot rows of the full vocabulary; both
-reduce to row lookups.
+Tokens enter through a learned embedding: a token's row of ``embed`` is
+the input x_t.
 
 Evaluation runs a corpus in lock-step: the phrases are zero-padded into one
 (n, L_max) block and step t updates the rows longer than t as one block, so
@@ -25,7 +24,7 @@ import numpy as np
 
 from .activation import Activation, _crossentropy_rows, activate, softmax, softmax_crossentropy
 from .data import split_corpus
-from .numerics import InputError
+from .numerics import InputError, ShapeError
 from .trainutil import TrainingDiverged, TrainingTrace, clip_gradients, shuffle_stream
 
 __all__ = ["RnnModel", "rnn_init", "rnn_forward", "rnn_train", "rnn_evaluate"]
@@ -33,43 +32,49 @@ __all__ = ["RnnModel", "rnn_init", "rnn_forward", "rnn_train", "rnn_evaluate"]
 
 @dataclass
 class RnnModel:
-    embed: np.ndarray | None  # vocab x emb, or None for one-hot input
-    wx: np.ndarray            # emb (or vocab) x hidden
-    wh: np.ndarray            # hidden x hidden
-    bh: np.ndarray            # 1 x hidden
-    wy: np.ndarray            # hidden x classes
-    by: np.ndarray            # 1 x classes
+    embed: np.ndarray  # vocab x emb
+    wx: np.ndarray     # emb x hidden
+    wh: np.ndarray     # hidden x hidden
+    bh: np.ndarray     # 1 x hidden
+    wy: np.ndarray     # hidden x classes
+    by: np.ndarray     # 1 x classes
     hidden_act: Activation
 
     @property
     def vocab_size(self):
-        return self.embed.shape[0] if self.embed is not None else self.wx.shape[0]
+        return self.embed.shape[0]
 
     @property
     def n_hidden(self):
         return self.wh.shape[0]
 
+    def check(self):
+        """Raise ShapeError unless every array conforms to ``wx`` and ``wy``."""
+        n_embed, n_hidden = self.wx.shape
+        n_classes = self.wy.shape[1]
+        expected = {"embed": (self.vocab_size, n_embed), "wh": (n_hidden, n_hidden),
+                    "bh": (1, n_hidden), "wy": (n_hidden, n_classes), "by": (1, n_classes)}
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} is {getattr(self, name).shape}, expected {shape}")
+        return self
+
     def copy(self):
         return RnnModel(
-            None if self.embed is None else self.embed.copy(),
-            self.wx.copy(), self.wh.copy(), self.bh.copy(),
+            self.embed.copy(), self.wx.copy(), self.wh.copy(), self.bh.copy(),
             self.wy.copy(), self.by.copy(), self.hidden_act,
         )
 
 
 def rnn_init(vocab_size, n_hidden, n_classes, hidden_act, rng, n_embed=16):
-    """Fan-in scaled normal init; ``n_embed=None`` selects one-hot input."""
-    if n_embed is None:
-        embed = None
-        wx = rng.normal_matrix(vocab_size, n_hidden, std=1.0 / np.sqrt(vocab_size))
-    else:
-        embed = rng.normal_matrix(vocab_size, n_embed, std=1.0 / np.sqrt(n_embed))
-        wx = rng.normal_matrix(n_embed, n_hidden, std=1.0 / np.sqrt(n_embed))
+    """Fan-in scaled normal init of an ``n_embed``-wide embedding and the layers."""
+    embed = rng.normal_matrix(vocab_size, n_embed, std=1.0 / np.sqrt(n_embed))
+    wx = rng.normal_matrix(n_embed, n_hidden, std=1.0 / np.sqrt(n_embed))
     wh = rng.normal_matrix(n_hidden, n_hidden, std=1.0 / np.sqrt(n_hidden))
     wy = rng.normal_matrix(n_hidden, n_classes, std=1.0 / np.sqrt(n_hidden))
     return RnnModel(
         embed, wx, wh, np.zeros((1, n_hidden)), wy, np.zeros((1, n_classes)), hidden_act
-    )
+    ).check()
 
 
 def _check_sequence(model, seq):
@@ -110,8 +115,7 @@ def _unroll(model, tokens, lengths=None, grad=True):
     dacts = np.zeros((steps, n, model.n_hidden)) if grad else None
     for t in range(steps):
         live = slice(None) if lengths is None else lengths > t
-        token = tokens[live, t]
-        drive = model.wx[token] if model.embed is None else _rows_at(model.embed[token], model.wx)
+        drive = _rows_at(model.embed[tokens[live, t]], model.wx)
         z = drive + _rows_at(states[t, live], model.wh) + model.bh[0]
         h, dh = activate(z, model.hidden_act, grad=grad)
         states[t + 1] = states[t]
@@ -136,16 +140,13 @@ def _backward(model, seq, states, dacts, dlogits):
     gwx = np.zeros_like(model.wx)
     gwh = np.zeros_like(model.wh)
     gbh = np.zeros(model.n_hidden)
-    gembed = None if model.embed is None else np.zeros_like(model.embed)
+    gembed = np.zeros_like(model.embed)
     dh_next = dlogits @ model.wy.T
     for t in range(len(seq) - 1, -1, -1):
         dz = dh_next * dacts[t]
         token = seq[t]
-        if model.embed is None:
-            gwx[token] += dz
-        else:
-            gwx += np.outer(model.embed[token], dz)
-            gembed[token] += dz @ model.wx.T
+        gwx += np.outer(model.embed[token], dz)
+        gembed[token] += dz @ model.wx.T
         gwh += np.outer(states[t], dz)
         gbh += dz
         dh_next = dz @ model.wh.T
@@ -166,6 +167,8 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
     tokens, lengths, labels = train
     onehots = np.eye(model.wy.shape[1])[labels]
     rng_shuffle = shuffle_stream(cfg.seed)
+    # the order of _backward's gradients: the clip norm is an ordered sum
+    params = (model.wx, model.wh, model.bh[0], model.wy, model.by[0], model.embed)
     trace = TrainingTrace()
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(len(labels))
@@ -176,16 +179,9 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, rank)
             grads = _backward(model, seq, states[:, 0], dacts[:, 0], dlogits[0])
-            live = [g for g in grads if g is not None]
-            clip_gradients(live, cfg.clip_norm)
-            gwx, gwh, gbh, gwy, gby, gembed = grads
-            model.wx -= cfg.lr * gwx
-            model.wh -= cfg.lr * gwh
-            model.bh[0] -= cfg.lr * gbh
-            model.wy -= cfg.lr * gwy
-            model.by[0] -= cfg.lr * gby
-            if gembed is not None:
-                model.embed -= cfg.lr * gembed
+            clip_gradients(grads, cfg.clip_norm)
+            for p, g in zip(params, grads):
+                p -= cfg.lr * g
         train_acc, train_loss = _score(model, *train)
         if len(test_set.phrases):
             test_acc, test_loss = _score(model, *test)

@@ -134,14 +134,6 @@ class Grid2D:
     def ny(self):
         return self.psi.shape[1]
 
-    @property
-    def psi_re(self):
-        return self.psi.real
-
-    @property
-    def psi_im(self):
-        return self.psi.imag
-
     def density(self):
         return np.abs(self.psi) ** 2
 

@@ -4,7 +4,6 @@ import pytest
 from conftest import numeric_gradient
 from qtnn.activation import Activation, activate, softmax_crossentropy
 from qtnn.bnn import (
-    _backward_means,
     _forward_with_weights,
     bnn_evaluate,
     bnn_init,
@@ -14,7 +13,7 @@ from qtnn.bnn import (
 )
 from qtnn.checkpoint import load_bnn, save_bnn
 from qtnn.data import FormatError, LabeledDataset
-from qtnn.fnn import fnn_forward, fnn_init, fnn_train
+from qtnn.fnn import fnn_backward, fnn_forward, fnn_init, fnn_train
 from qtnn.numerics import InputError, Rng, ShapeError
 from qtnn.trainutil import TrainConfig, init_stream, noise_stream, shuffle_stream
 from test_fnn import separable_toy_set
@@ -35,7 +34,7 @@ def zero_rich_set(n=30, n_features=12, n_classes=3, seed=0):
     return LabeledDataset(inputs, onehot, [f"c{k}" for k in range(n_classes)])
 
 
-def dense_batch1_train(model, data, cfg, literal):
+def dense_batch1_train(model, data, cfg):
     """bnn_train's batch-1, unclipped loop with the dense W1 step; returns the epoch losses."""
     rng_shuffle = shuffle_stream(cfg.seed)
     rng_noise = noise_stream(cfg.seed)
@@ -46,18 +45,15 @@ def dense_batch1_train(model, data, cfg, literal):
         for i in rng_shuffle.permutation(data.n_samples):
             xb = data.inputs[[i]]
             yb = data.labels_onehot[[i]]
-            if literal:
-                _, cache, _, loss, dlogits = bnn_sample_forward(model, xb, rng_noise, onehot=yb)
-            else:
-                noise_scale = np.sqrt((xb[0] ** 2) @ w1_var)
-                z1 = xb @ model.w1_mean + model.b1
-                z1 += noise_scale * rng_noise.normals(z1.shape[1])
-                h, dh = activate(z1, model.hidden_act)
-                eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
-                w2s = model.w2_mean + model.w2_std * eps2
-                _, loss, dlogits = softmax_crossentropy(h @ w2s + model.b2, yb)
-                cache = {"x": xb, "h": h, "dh": dh, "w2s": w2s}
-            gw1, gb1, gw2, gb2 = _backward_means(model, cache, dlogits)
+            noise_scale = np.sqrt((xb[0] ** 2) @ w1_var)
+            z1 = xb @ model.w1_mean + model.b1
+            z1 += noise_scale * rng_noise.normals(z1.shape[1])
+            h, dh = activate(z1, model.hidden_act)
+            eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
+            w2s = model.w2_mean + model.w2_std * eps2
+            _, loss, dlogits = softmax_crossentropy(h @ w2s + model.b2, yb)
+            cache = {"x": xb, "h": h, "dh": dh, "w2s": w2s}
+            gw1, gb1, gw2, gb2 = fnn_backward(model, cache, dlogits)
             model.w1_mean -= cfg.lr * gw1
             model.b1 -= cfg.lr * gb1
             model.w2_mean -= cfg.lr * gw2
@@ -169,7 +165,7 @@ class TestGradients:
             if np.min(np.abs(x @ w1s + model.b1)) < 1e-4:
                 continue
             _, cache, _, dlogits = _forward_with_weights(model, x, w1s, w2s, onehot)
-            analytic = _backward_means(model, cache, dlogits)
+            analytic = fnn_backward(model, cache, dlogits)
             params = [w1s, model.b1, w2s, model.b2]
 
             def loss_fn():
@@ -198,15 +194,15 @@ class TestTraining:
         assert np.array_equal(model.w1_std, before_w1_std)
 
     @pytest.mark.parametrize(
-        "literal, batch_size, clip_norm",
-        [(False, 1, 5.0), (True, 1, 5.0), (False, 4, 5.0), (False, 4, None)],
-        ids=["fast-path", "literal", "batch4-clipped", "batch4-unclipped"],
+        "batch_size, clip_norm",
+        [(1, 5.0), (4, 5.0), (4, None)],
+        ids=["fast-path", "batch4-clipped", "batch4-unclipped"],
     )
-    def test_zero_std_trajectory_equals_fnn(self, literal, batch_size, clip_norm):
+    def test_zero_std_trajectory_equals_fnn(self, batch_size, clip_norm):
         data = separable_toy_set()
         cfg = TrainConfig(lr=0.2, epochs=4, batch_size=batch_size, clip_norm=clip_norm, seed=13)
         bmodel = bnn_init(2, 4, 2, Activation.qt(), init_stream(cfg.seed), std_init=0.0)
-        btrace = bnn_train(bmodel, data, cfg, literal_sampling=literal)
+        btrace = bnn_train(bmodel, data, cfg)
         fmodel = fnn_init(2, 4, 2, Activation.qt(), init_stream(cfg.seed))
         ftrace = fnn_train(fmodel, data, cfg)
         assert np.array_equal(bmodel.w1_mean, fmodel.w1)
@@ -214,12 +210,11 @@ class TestTraining:
         assert np.array_equal(bmodel.b1, fmodel.b1)
         assert btrace.train_loss == ftrace.train_loss
 
-    @pytest.mark.parametrize("literal", [False, True], ids=["fast-path", "literal"])
-    def test_zero_std_sparse_step_equals_fnn(self, literal):
+    def test_zero_std_sparse_step_equals_fnn(self):
         data = zero_rich_set()
         cfg = TrainConfig(lr=0.3, epochs=3, batch_size=1, clip_norm=None, seed=17)
         bmodel = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.0)
-        btrace = bnn_train(bmodel, data, cfg, literal_sampling=literal)
+        btrace = bnn_train(bmodel, data, cfg)
         fmodel = fnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed))
         ftrace = fnn_train(fmodel, data, cfg)
         assert np.array_equal(bmodel.w1_mean, fmodel.w1)
@@ -271,16 +266,15 @@ class TestTraining:
 
 class TestSparseStepOracle:
     @pytest.mark.parametrize("std", [0.0, 0.01])
-    @pytest.mark.parametrize("literal", [False, True], ids=["fast-path", "literal"])
-    def test_bit_equal_to_dense_step(self, literal, std):
+    def test_bit_equal_to_dense_step(self, std):
         data = zero_rich_set()
         assert (data.inputs == 0.0).mean(axis=1).min() >= 0.5
         assert not data.inputs[-1].any()
         cfg = TrainConfig(lr=0.3, epochs=3, batch_size=1, clip_norm=None, seed=29)
         model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=std)
         ref = model.copy()
-        trace = bnn_train(model, data, cfg, literal_sampling=literal)
-        ref_losses = dense_batch1_train(ref, data, cfg, literal)
+        trace = bnn_train(model, data, cfg)
+        ref_losses = dense_batch1_train(ref, data, cfg)
         for name in ("w1_mean", "b1", "w2_mean", "b2"):
             assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
         assert trace.train_loss == ref_losses

@@ -417,6 +417,8 @@ class TestUncomputableValues:
         (["activation", "--hbar", "1e300"], "gives a non-finite constant"),
         (["activation", "--hbar", "1e-300"], "gives a non-finite constant"),
         (["train", "rnn", "--hbar", "1e300"], "gives a non-finite constant"),
+        (["train", "rnn", "--train-frac", "-0.5"], "train_frac must lie in (0, 1], got -0.5"),
+        (["train", "rnn", "--train-frac", "1.5"], "train_frac must lie in (0, 1], got 1.5"),
         (["esn", "--act", "qt", "--v0", "1e300"], "gives a non-finite constant"),
         (["spectrum", "--fs", "0"], "fs must be positive and finite"),
         (["spectrum", "--fs", "-1024"], "fs must be positive and finite"),

@@ -205,6 +205,14 @@ class TestFreeRun:
         with pytest.raises(InputError, match="horizon"):
             esn_free_run(model, series, -3)
 
+    @pytest.mark.parametrize("width", [2, 20])
+    def test_2d_warm_series_rejected(self, width):
+        series = mackey_glass(MgConfig(), 300)
+        model = small_esn()
+        esn_fit(model, series)
+        with pytest.raises(InputError, match="warmup series must be 1-D"):
+            esn_free_run(model, np.ones((150, width)), 5)
+
     def test_teacher_forced_beats_free_run(self):
         series = mackey_glass(MgConfig(), 1200)
         train, test = series[:800], series[800:]

@@ -47,13 +47,6 @@ class TestForward:
         with pytest.raises(InputError):
             rnn_forward(model, [4])
 
-    def test_onehot_fallback_mode(self):
-        model = rnn_init(5, 3, 2, Activation.tanh(), Rng(2), n_embed=None)
-        assert model.embed is None
-        probs, _ = rnn_forward(model, [0, 4, 2])
-        assert probs.shape == (2,)
-        assert np.allclose(probs.sum(), 1.0)
-
 
 class TestBpttGradients:
     @pytest.mark.parametrize("kind", [Activation.tanh(), Activation.qt(), Activation.qt(mode="bipolar")],
@@ -182,8 +175,8 @@ def per_sequence_scores(model, corpus):
     for seq, label in zip(corpus.phrases, corpus.labels):
         h = np.zeros(model.n_hidden)
         for token in seq:
-            drive = model.wx[token] if model.embed is None else model.embed[token] @ model.wx
-            h = activate(drive + h @ model.wh + model.bh[0], model.hidden_act, grad=False)[0]
+            z = model.embed[token] @ model.wx + h @ model.wh + model.bh[0]
+            h = activate(z, model.hidden_act, grad=False)[0]
         onehot = np.zeros((1, model.wy.shape[1]))
         onehot[0, label] = 1.0
         probs, loss, _ = softmax_crossentropy((h @ model.wy + model.by[0])[None, :], onehot)
@@ -204,12 +197,11 @@ class TestLockStepEvaluation:
         return SentimentCorpus(phrases, rng.integers(0, 2, len(phrases)).tolist(),
                                {f"w{i}": i for i in range(1, vocab_size)})
 
-    @pytest.mark.parametrize("n_embed", [4, None], ids=["embed", "onehot"])
     @pytest.mark.parametrize("kind", KINDS, ids=["qt", "qt-absolute", "qt-bipolar", "tanh"])
-    def test_bit_equal_to_per_sequence_loop(self, kind, n_embed):
+    def test_bit_equal_to_per_sequence_loop(self, kind):
         corpus = self.mixed_length_corpus()
         for seed in range(4):
-            model = rnn_init(corpus.vocab_size, 6, 2, kind, Rng(seed), n_embed=n_embed)
+            model = rnn_init(corpus.vocab_size, 6, 2, kind, Rng(seed), n_embed=4)
             model.bh[:] = Rng(seed + 100).normal_matrix(1, 6)
             for w in (model.wx, model.wh, model.wy):
                 w *= 3.0
@@ -264,14 +256,6 @@ class TestCheckpoint:
         assert np.array_equal(loaded.embed, model.embed)
         assert np.array_equal(loaded.wh, model.wh)
         assert loaded.hidden_act == model.hidden_act
-
-    def test_round_trip_onehot_mode(self, tmp_path):
-        model = rnn_init(7, 5, 2, Activation.tanh(), Rng(3), n_embed=None)
-        path = tmp_path / "rnn.qtnn"
-        save_rnn(model, path)
-        loaded = load_rnn(path)
-        assert loaded.embed is None
-        assert np.array_equal(loaded.wx, model.wx)
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "rnn.qtnn"

@@ -56,11 +56,6 @@ class TestInit:
         with pytest.raises(InputError, match="wall"):
             wp_init(small_scenario(x0=1.0), **SMALL)
 
-    def test_psi_views(self):
-        grid = wp_init(small_scenario(), **SMALL)
-        assert np.array_equal(grid.psi_re, grid.psi.real)
-        assert np.array_equal(grid.psi_im, grid.psi.imag)
-
 
 class TestStep:
     def test_free_norm_preserved_tightly(self):
