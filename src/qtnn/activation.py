@@ -382,7 +382,5 @@ def harmonic_spectrum(act, f0=16.0, fs=1024.0, n=1024, threshold_db=-70.0):
 
 def spectrum_to_csv(report, path):
     """Write the full magnitude spectrum as `freq_hz,magnitude` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz,magnitude\n")
-        for f, m in zip(report.frequencies, report.magnitudes):
-            fh.write(f"{f:.10g},{m:.17g}\n")
+    np.savetxt(path, np.column_stack((report.frequencies, report.magnitudes)),
+               fmt=("%.10g", "%.17g"), delimiter=",", header="freq_hz,magnitude", comments="")

@@ -5,8 +5,8 @@ drawn standard normal at each forward pass; prediction averages the softmax
 outputs of many such draws, and training runs plain per-sample SGD on the
 means through the sampled weights (stds stay at their initial values).
 
-Training uses an exact shortcut for the first layer when the batch size is
-one: the sampled-weight forward only exposes layer-1 noise through
+Training runs at batch size one and uses an exact shortcut for the first
+layer: the sampled-weight forward only exposes layer-1 noise through
 z1 = x (W1_mean + W1_std o eps) + b1, whose noise term is Gaussian with
 diagonal covariance (x^2) (W1_std^2) across hidden units (disjoint eps
 columns), and the backward pass never touches the sampled W1.  Sampling
@@ -15,16 +15,16 @@ materializing all of eps_1 and two orders of magnitude cheaper at MNIST
 width.  Layer 2 is always sampled literally, entry by entry, because the
 same eps_2 realization appears in both the forward and backward passes.
 
-With batch size one and no gradient clipping (which is what ``qtnn train
-bnn`` always runs) the W1 gradient x^T dhidden is rank one, so the SGD step
-touches only the rows of W1_mean whose input feature is non-zero and the
-dense gradient is never formed.  Each entry is still the one rounded
-product x_i * dhidden_j scaled by the learning rate, so the result is
-bit-identical to the dense step, except that a W1_mean entry of exactly
--0.0 on a zero-input row stays -0.0 where the dense step may turn it into
-+0.0 by subtracting -0.0.  Larger batches and clipped runs keep the dense
-step: the clip norm is a sum over the dense gradient, and the zero-std
-model matches the feedforward trainer only if that sum is formed alike.
+Without gradient clipping (which is what ``qtnn train bnn`` always runs)
+the W1 gradient x^T dhidden is rank one, so the SGD step touches only the
+rows of W1_mean whose input feature is non-zero and the dense gradient is
+never formed.  Each entry is still the one rounded product x_i * dhidden_j
+scaled by the learning rate, so the result is bit-identical to the dense
+step, except that a W1_mean entry of exactly -0.0 on a zero-input row
+stays -0.0 where the dense step may turn it into +0.0 by subtracting -0.0.
+Clipped runs keep the dense step: the clip norm is a sum over the dense
+gradient, and the zero-std model matches the feedforward trainer only if
+that sum is formed alike.
 """
 
 from __future__ import annotations
@@ -146,28 +146,23 @@ def bnn_predict(model, x, rng):
 def bnn_train(model, data, cfg, eval_data=None):
     """Per-sample SGD on the weight means; stds are never updated.
 
-    ``cfg.batch_size`` defaults to 1 (weights are redrawn once per update
-    either way).  With batch size 1, layer-1 noise is sampled in its exact
-    z1 distribution as described in the module docstring; any larger batch
-    falls back to literal entry-wise sampling since the shared draw then
-    correlates rows.  Batch size 1 without clipping also updates only the
-    W1 rows of non-zero input features (see the module docstring).  The
-    gradients w.r.t. the means equal those w.r.t. the sampled weights
+    ``cfg.batch_size`` must be 1: weights are redrawn for every sample, and
+    layer-1 noise is sampled in its exact z1 distribution as described in
+    the module docstring.  Without clipping, only the W1 rows of non-zero
+    input features are updated (see the module docstring).  The gradients
+    w.r.t. the means equal those w.r.t. the sampled weights
     (dW/dW_mean = 1 entrywise), so the feedforward backward pass forms them.
 
     The posterior-averaged metrics on ``eval_data`` are recorded after the
     last epoch only.
     """
+    if cfg.batch_size != 1:
+        raise InputError(f"batch_size must be 1, got {cfg.batch_size}")
     rng_noise = noise_stream(cfg.seed)
-    use_fast = cfg.batch_size == 1
-    sparse_w1 = cfg.batch_size == 1 and cfg.clip_norm is None
-    w1_var = model.w1_std**2 if use_fast else None  # stds never change during training
+    w1_var = model.w1_std**2  # stds never change during training
     params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
 
     def forward(xb, yb):
-        if not use_fast:
-            probs, cache, _, loss, dlogits = bnn_sample_forward(model, xb, rng_noise, onehot=yb)
-            return probs, cache, loss, dlogits
         z1 = xb @ model.w1_mean + model.b1
         z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
         eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
@@ -175,7 +170,7 @@ def bnn_train(model, data, cfg, eval_data=None):
         return _dense_forward(xb, z1, w2s, model.b2, model.hidden_act, yb)
 
     def update(cache, dlogits):
-        if not sparse_w1:
+        if cfg.clip_norm is not None:
             _dense_step(params, fnn_backward(model, cache, dlogits), cfg)
             return
         dhidden, *rest = _backward_hidden(cache, dlogits)

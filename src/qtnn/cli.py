@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +218,7 @@ def _trained(trace, save, model, path, **metrics):
     if path:
         save(model, path)
     return {
-        "per_epoch": json.loads(trace.to_json()),
+        "per_epoch": asdict(trace),
         "metrics": {"final_train_accuracy": trace.train_accuracy[-1],
                     "final_train_loss": trace.train_loss[-1], **metrics},
         "artifacts": [path] if path else [],
@@ -239,10 +239,8 @@ def _cmd_activation(cfg, args):
     t = qt_transmission(energies, params)
     dt = qt_transmission_derivative(energies, params)
     out = args.out or "activation_curve.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("energy,transmission,derivative\n")
-        for e, tv, dv in zip(energies, t, dt):
-            fh.write(f"{e:.17g},{tv:.17g},{dv:.17g}\n")
+    np.savetxt(out, np.column_stack((energies, t, dt)), fmt="%.17g", delimiter=",",
+               header="energy,transmission,derivative", comments="")
     metrics = {"t_min": float(t.min()), "t_max": float(t.max())}
     return args.report, {"metrics": metrics, "artifacts": [out]}
 
@@ -335,10 +333,9 @@ def _cmd_esn(cfg, args):
     forecast = esn_free_run(model, train, horizon)
     artifacts = []
     if cfg["forecast_csv"]:
-        with open(cfg["forecast_csv"], "w", encoding="utf-8") as fh:
-            fh.write("t,target,prediction\n")
-            for t in range(horizon):
-                fh.write(f"{t},{target[t]:.17g},{forecast[t]:.17g}\n")
+        np.savetxt(cfg["forecast_csv"], np.column_stack((np.arange(horizon), target, forecast)),
+                   fmt=("%d", "%.17g", "%.17g"), delimiter=",",
+                   header="t,target,prediction", comments="")
         artifacts.append(cfg["forecast_csv"])
     metrics = {"act": act.label(), "rho": cfg["rho"], "lambda": cfg["ridge"]}
     if horizon >= 500:  # a shorter forecast has no 500-step window to score

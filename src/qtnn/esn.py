@@ -60,14 +60,11 @@ class _FitEnd(NamedTuple):
 @dataclass
 class EsnModel:
     w_in: np.ndarray          # N x 2, column 0 is the bias
-    w_res: np.ndarray         # N x N, sparse, scaled to rho_target
+    w_res: np.ndarray         # N x N, sparse, scaled to esn_build's rho_target
     w_out: np.ndarray | None  # 1 x (2 + N) after fitting
     act: Activation
-    rho_target: float
     washout: int
     ridge_lambda: float
-    density: float
-    seed: int
     fit_end: _FitEnd | None = None  # set with w_out by esn_fit
 
     @property
@@ -91,8 +88,9 @@ def esn_build(
     Entries of W_in and W_res are uniform on (-0.5, 0.5); W_res keeps each
     entry with probability ``density`` and is then rescaled by
     rho_target / rho_hat.  A spectral radius at or above 1 needs the
-    explicit ``allow_rho_ge_1`` override.  A degenerate draw whose radius
-    estimates to zero is retried on the next substream.
+    explicit ``allow_rho_ge_1`` override, and ``ridge_lambda`` must be
+    non-negative.  A degenerate draw whose radius estimates to zero is
+    retried on the next substream.
     """
     if not 0.0 < density <= 1.0:
         raise InputError("density must lie in (0, 1]")
@@ -103,6 +101,8 @@ def esn_build(
             "rho_target >= 1 abandons the echo-state guarantee; "
             "pass allow_rho_ge_1=True to override"
         )
+    if not ridge_lambda >= 0.0:
+        raise InputError(f"ridge_lambda must be non-negative, got {ridge_lambda}")
     for attempt in range(16):
         rng = Rng.substream(seed, attempt)
         w_in = rng.uniform_matrix(n_reservoir, 2)
@@ -113,9 +113,7 @@ def esn_build(
         rho_hat = spectral_radius(w_res, iters=sr_iters)
         if rho_hat > 0.0:
             w_res *= rho_target / rho_hat
-            return EsnModel(
-                w_in, w_res, None, act, rho_target, washout, ridge_lambda, density, seed
-            )
+            return EsnModel(w_in, w_res, None, act, washout, ridge_lambda)
     raise InputError("reservoir draw degenerate 16 times; check density and size")
 
 

@@ -128,14 +128,14 @@ def _backward_sub_t(low, b):
     return x
 
 
-def solve_spd(a, b, sym_tol=1e-12):
+def solve_spd(a, b):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
-    A must be symmetric to within ``sym_tol`` (relative to its largest
-    entry).  After the two triangular solves, one step of fixed-precision
-    iterative refinement (X += solve(B - A X)) takes the residual of the
-    first solution back through the same factor.  Raises
-    :class:`SingularMatrixError` on a non-positive pivot.
+    A must be symmetric to within 1e-12 of its largest entry.  After the
+    two triangular solves, one step of fixed-precision iterative refinement
+    (X += solve(B - A X)) takes the residual of the first solution back
+    through the same factor.  Raises :class:`SingularMatrixError` on a
+    non-positive pivot.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -145,7 +145,7 @@ def solve_spd(a, b, sym_tol=1e-12):
     if b.shape[0] != n:
         raise ShapeError(f"B has {b.shape[0]} rows, expected {n}")
     scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > sym_tol * scale:
+    if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale:
         raise InputError("A is not symmetric within tolerance")
     low = cholesky(a)
     x = _backward_sub_t(low, _forward_sub(low, b))
@@ -318,33 +318,26 @@ class Rng:
     def normal_matrix(self, rows, cols, std=1.0):
         return (std * self.normals(rows * cols)).reshape(rows, cols)
 
-    def uniform_matrix(self, rows, cols, lo=-0.5, hi=0.5):
-        return lo + (hi - lo) * self.uniforms(rows * cols).reshape(rows, cols)
-
-    def integer(self, upper):
-        """Unbiased integer on [0, upper) by rejection."""
-        if upper <= 0:
-            raise InputError("upper must be positive")
-        limit = (1 << 64) - ((1 << 64) % upper)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % upper
+    def uniform_matrix(self, rows, cols):
+        """Doubles uniform on [-0.5, 0.5), row-major."""
+        return -0.5 + self.uniforms(rows * cols).reshape(rows, cols)
 
     def permutation(self, n):
-        """Fisher-Yates shuffle of range(n), one ``integer(i + 1)`` per swap.
+        """Fisher-Yates shuffle of range(n), one unbiased draw per swap.
 
+        Swap i (i = n - 1 down to 1) takes the next 64-bit word x below the
+        rejection limit 2**64 - 2**64 % (i + 1) and swaps with x % (i + 1).
         The n - 1 words are drawn in one block and checked against their
-        rejection limits at once.  A rejected word (probability below
-        n / 2**64 each) shifts the rest of the block by one step, and only
-        then are further words drawn one at a time, so the stream advances
-        exactly as a loop of ``integer`` calls would.
+        limits at once.  A rejected word (probability below n / 2**64 each)
+        shifts the rest of the block by one step, and only then are further
+        words drawn one at a time, so the stream advances exactly as a
+        scalar loop of that rule would.
         """
         if n <= 1:
             return np.arange(n)
         uppers = np.arange(n, 1, -1, dtype=np.uint64)
         words = self._raw(n - 1)
-        # integer(u) accepts x < 2**64 - 2**64 % u, i.e. x <= MASK - 2**64 % u
+        # accept x < 2**64 - 2**64 % u, i.e. x <= MASK - 2**64 % u
         highest = _U64(_MASK64) - (_U64(_MASK64) % uppers + _U64(1)) % uppers
         swaps = (words % uppers).tolist()
         rejected = np.flatnonzero(words > highest)

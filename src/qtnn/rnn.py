@@ -156,12 +156,15 @@ def _backward(model, seq, states, dacts, dlogits):
 def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
     """Per-sequence SGD with BPTT over a stratified train/test split.
 
-    The split is derived from ``cfg.seed`` so runs are reproducible.  Every
-    phrase is checked before the first update, so a bad token leaves the
-    model untouched.  When ``stop_train_loss`` is set, training stops at the
-    end of the first epoch where train accuracy is 1.0 and train loss is
-    below the threshold.  Returns (trace, train_corpus, test_corpus).
+    ``cfg.batch_size`` must be 1.  The split is derived from ``cfg.seed`` so
+    runs are reproducible.  Every phrase is checked before the first update,
+    so a bad token leaves the model untouched.  When ``stop_train_loss`` is
+    set, training stops at the end of the first epoch where train accuracy
+    is 1.0 and train loss is below the threshold.  Returns (trace,
+    train_corpus, test_corpus).
     """
+    if cfg.batch_size != 1:
+        raise InputError(f"batch_size must be 1, got {cfg.batch_size}")
     train_set, test_set = split_corpus(corpus, train_frac, seed=cfg.seed)
     train, test = _pack(model, train_set), _pack(model, test_set)
     tokens, lengths, labels = train

@@ -193,11 +193,7 @@ class TestTraining:
         bnn_train(model, data, TrainConfig(lr=0.3, epochs=3, batch_size=1, seed=1))
         assert np.array_equal(model.w1_std, before_w1_std)
 
-    @pytest.mark.parametrize(
-        "batch_size, clip_norm",
-        [(1, 5.0), (4, 5.0), (4, None)],
-        ids=["fast-path", "batch4-clipped", "batch4-unclipped"],
-    )
+    @pytest.mark.parametrize("batch_size, clip_norm", [(1, 5.0)], ids=["fast-path"])
     def test_zero_std_trajectory_equals_fnn(self, batch_size, clip_norm):
         data = separable_toy_set()
         cfg = TrainConfig(lr=0.2, epochs=4, batch_size=batch_size, clip_norm=clip_norm, seed=13)
@@ -209,6 +205,16 @@ class TestTraining:
         assert np.array_equal(bmodel.w2_mean, fmodel.w2)
         assert np.array_equal(bmodel.b1, fmodel.b1)
         assert btrace.train_loss == ftrace.train_loss
+
+    def test_batch_size_above_one_rejected(self):
+        data = separable_toy_set()
+        model = bnn_init(2, 4, 2, Activation.qt(), init_stream(0), std_init=0.01)
+        names = ("w1_mean", "w1_std", "b1", "w2_mean", "w2_std", "b2")
+        before = [getattr(model, name).tobytes() for name in names]
+        cfg = TrainConfig(lr=0.2, epochs=1, batch_size=4, clip_norm=None, seed=0)
+        with pytest.raises(InputError, match="batch_size must be 1, got 4"):
+            bnn_train(model, data, cfg)
+        assert [getattr(model, name).tobytes() for name in names] == before
 
     def test_zero_std_sparse_step_equals_fnn(self):
         data = zero_rich_set()

@@ -420,6 +420,10 @@ class TestUncomputableValues:
         (["train", "rnn", "--train-frac", "-0.5"], "train_frac must lie in (0, 1], got -0.5"),
         (["train", "rnn", "--train-frac", "1.5"], "train_frac must lie in (0, 1], got 1.5"),
         (["esn", "--act", "qt", "--v0", "1e300"], "gives a non-finite constant"),
+        (["esn", "--n", "50", "--train", "300", "--horizon", "10", "--ridge=-1e-12"],
+         "ridge_lambda must be non-negative, got -1e-12"),
+        (["esn", "--n", "50", "--train", "300", "--horizon", "10", "--ridge", "-1"],
+         "ridge_lambda must be non-negative, got -1.0"),
         (["spectrum", "--fs", "0"], "fs must be positive and finite"),
         (["spectrum", "--fs", "-1024"], "fs must be positive and finite"),
         (["spectrum", "--fs", "1e-300"], "must lie below the Nyquist frequency"),

@@ -319,7 +319,7 @@ def _pixel_set(n=40, n_features=30, seed=3):
 def _train_and_score(data, test, kind):
     """Train on ``data`` and score ``test``: the byte strings of the weights
     and the (accuracy, loss) pairs, for ``kind`` fnn, bnn (batch 1, no clip)
-    or bnn-clipped (batch 4, clipped)."""
+    or bnn-clipped (batch 1, clipped)."""
     act = Activation.qt()
     if kind == "fnn":
         model = fnn_init(data.n_features, 8, 4, act, init_stream(5))
@@ -328,8 +328,8 @@ def _train_and_score(data, test, kind):
         weights = (model.w1, model.b1, model.w2, model.b2)
         score = fnn_evaluate(model, test, batch_size=16)
     else:
-        tc = (TrainConfig(lr=0.1, epochs=2, batch_size=1, clip_norm=None, seed=5)
-              if kind == "bnn" else TrainConfig(lr=0.1, epochs=2, batch_size=4, seed=5))
+        tc = TrainConfig(lr=0.1, epochs=2, batch_size=1,
+                         clip_norm=None if kind == "bnn" else 5.0, seed=5)
         model = bnn_init(data.n_features, 8, 4, act, init_stream(5), std_init=0.05,
                          n_samples=3)
         trace = bnn_train(model, data, tc, eval_data=test)

@@ -63,6 +63,11 @@ class TestBuild:
         with pytest.raises(InputError):
             small_esn(density=0.0)
 
+    @pytest.mark.parametrize("ridge", [-1e-12, -1.0, float("nan")])
+    def test_negative_ridge_rejected(self, ridge):
+        with pytest.raises(InputError, match="ridge_lambda must be non-negative"):
+            small_esn(ridge_lambda=ridge)
+
     def test_input_weights_shape_includes_bias(self):
         model = small_esn()
         assert model.w_in.shape == (60, 2)

@@ -154,7 +154,7 @@ class TestTraining:
         runs = [
             (fnn, ("w1", "b1", "w2", "b2"), fnn_train, 4, 5.0),
             (bnn, bnn_names, bnn_train, 1, None),  # the row-sparse W1 step
-            (bnn, bnn_names, bnn_train, 4, 5.0),   # the dense clipped step
+            (bnn, bnn_names, bnn_train, 1, 5.0),   # the dense clipped step
         ]
         for model, names, train, batch_size, clip_norm in runs:
             before = [getattr(model, name).tobytes() for name in names]

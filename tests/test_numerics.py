@@ -215,10 +215,14 @@ def scalar_xoshiro_reference(seed, count):
 
 
 def fisher_yates_reference(rng, n):
-    """The plain Fisher-Yates loop: one ``integer`` draw per swap."""
+    """The plain Fisher-Yates loop: one unbiased draw on [0, i] per swap,
+    by rejection of the 64-bit words at or past 2**64 - 2**64 % (i + 1)."""
     order = np.arange(n)
     for i in range(n - 1, 0, -1):
-        j = rng.integer(i + 1)
+        x = rng.next_u64()
+        while x >= (1 << 64) - (1 << 64) % (i + 1):
+            x = rng.next_u64()
+        j = x % (i + 1)
         order[i], order[j] = order[j], order[i]
     return order
 
@@ -314,8 +318,8 @@ class TestRng:
             assert got_rng.next_u64() == ref_rng.next_u64()
 
     @pytest.mark.parametrize("n, words, left", [
-        # 2**64 - 1 is past integer(3)'s limit 2**64 - 2**64 % 3 = 2**64 - 1,
-        # but integer(2) and integer(4) accept every word
+        # 2**64 - 1 is past the limit 2**64 - 2**64 % 3 = 2**64 - 1 of a draw
+        # on [0, 3), but draws on [0, 2) and [0, 4) accept every word
         (3, [2**64 - 1, 7, 2**64 - 1, 10, 11], [10, 11]),
         (4, [5, 2**64 - 1, 2**64 - 1, 8, 9, 12], [12]),
     ])
@@ -336,8 +340,3 @@ class TestRng:
         for key in (0, 1, 2, 9):
             assert np.array_equal(Rng.substream(seed, key).normals(9),
                                   Rng(seed).spawn(key).normals(9))
-
-    def test_integer_bounds(self):
-        r = Rng(6)
-        draws = [r.integer(7) for _ in range(2000)]
-        assert min(draws) == 0 and max(draws) == 6

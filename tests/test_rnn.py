@@ -235,6 +235,16 @@ class TestLockStepEvaluation:
         assert len(calls) == max(len(p) for p in corpus.phrases)
         assert calls[0] == (len(corpus.phrases), 8)
 
+    def test_batch_size_above_one_rejected(self):
+        corpus = load_sentiment(bundled_sentiment_path())
+        model = rnn_init(corpus.vocab_size, 8, 2, Activation.qt(), init_stream(0))
+        names = ("embed", "wx", "wh", "bh", "wy", "by")
+        before = [getattr(model, name).tobytes() for name in names]
+        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=4, clip_norm=5.0, seed=0)
+        with pytest.raises(InputError, match="batch_size must be 1, got 4"):
+            rnn_train(model, corpus, cfg)
+        assert [getattr(model, name).tobytes() for name in names] == before
+
     def test_bad_phrase_leaves_model_untouched(self):
         corpus = load_sentiment(bundled_sentiment_path())
         corpus.phrases[-1] = corpus.phrases[-1] + [corpus.vocab_size]
