@@ -41,7 +41,8 @@ from .fnn import (
     _backward_hidden, _check_input, _check_layers, _dense_forward, _dense_step, fnn_backward,
 )
 from .numerics import InputError, ShapeError
-from .trainutil import clip_gradients, eval_stream, noise_stream, sgd_train  # noqa: F401
+from .trainutil import TrainingTrace, eval_stream, noise_stream, sgd_epochs
+from .trainutil import clip_gradients  # noqa: F401
 
 __all__ = [
     "BnnModel",
@@ -51,6 +52,8 @@ __all__ = [
     "bnn_train",
     "bnn_evaluate",
 ]
+
+EVAL_BATCH = 512  # rows per bnn_evaluate batch; each batch's draws spawn from its start row
 
 
 @dataclass
@@ -162,7 +165,8 @@ def bnn_train(model, data, cfg, eval_data=None):
     w1_var = model.w1_std**2  # stds never change during training
     params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
 
-    def forward(xb, yb):
+    def forward(idx):
+        xb, yb = data.rows(idx), data.labels_onehot[idx]
         z1 = xb @ model.w1_mean + model.b1
         z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
         eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
@@ -180,22 +184,25 @@ def bnn_train(model, data, cfg, eval_data=None):
         for p, g in zip(params[1:], rest):
             p -= cfg.lr * g
 
-    def evaluate(epoch):
-        if eval_data is None or epoch < cfg.epochs - 1:
-            return None, None
-        return bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
+    trace = TrainingTrace()
+    for epoch, loss, acc in sgd_epochs(data.labels(), cfg, forward, update):
+        evaluation = None
+        if eval_data is not None and epoch == cfg.epochs - 1:
+            evaluation = bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
+        trace.record(loss, acc, evaluation)
+    return trace
 
-    return sgd_train(data, cfg, forward, update, evaluate)
 
-
-def bnn_evaluate(model, data, rng, batch_size=512):
+def bnn_evaluate(model, data, rng):
     """(accuracy, mean loss) from posterior-averaged probabilities."""
     n = data.n_samples
+    if n == 0:
+        raise InputError("dataset is empty")
     correct = 0
     total_loss = 0.0
-    for start in range(0, n, batch_size):
-        xb = data.rows(slice(start, start + batch_size))
-        yb = data.labels_onehot[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb = data.rows(slice(start, start + EVAL_BATCH))
+        yb = data.labels_onehot[start : start + EVAL_BATCH]
         probs = bnn_predict(model, xb, rng.spawn(start))
         correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
         true_p = np.clip((probs * yb).sum(axis=1), 1e-300, None)

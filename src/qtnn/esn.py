@@ -81,7 +81,6 @@ def esn_build(
     allow_rho_ge_1=False,
     washout=100,
     ridge_lambda=1e-8,
-    sr_iters=1000,
 ):
     """Draw and scale the fixed reservoir of a scalar series; the readout stays unfitted.
 
@@ -110,7 +109,7 @@ def esn_build(
         if density < 1.0:
             mask = rng.uniforms(n_reservoir * n_reservoir).reshape(w_res.shape) < density
             w_res *= mask
-        rho_hat = spectral_radius(w_res, iters=sr_iters)
+        rho_hat = spectral_radius(w_res)
         if rho_hat > 0.0:
             w_res *= rho_target / rho_hat
             return EsnModel(w_in, w_res, None, act, washout, ridge_lambda)

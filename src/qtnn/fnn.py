@@ -4,8 +4,8 @@ Forward pass: z1 = x W1 + b1, h = act(z1), logits = h W2 + b2, softmax.
 The backward pass propagates the softmax/cross-entropy error through the
 cached activation derivative (elementwise product), clips the global
 gradient norm and applies plain SGD.  The sampled-weight BNN (``bnn``)
-runs the same layers above z1, backward pass and clipped step, and both
-trainers run the epoch loop ``trainutil.sgd_train``.
+runs the same layers above z1, backward pass and clipped step, the RNN the
+same step, and all three trainers run the epoch loop ``trainutil.sgd_epochs``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import Activation, activate, softmax, softmax_crossentropy
-from .numerics import ShapeError, as_matrix
-from .trainutil import clip_gradients, sgd_train
+from .numerics import InputError, ShapeError, as_matrix
+from .trainutil import TrainingTrace, clip_gradients, sgd_epochs
 
 __all__ = ["FnnModel", "fnn_init", "fnn_forward", "fnn_backward", "fnn_train", "fnn_evaluate"]
+
+EVAL_BATCH = 1024
 
 
 @dataclass
@@ -134,24 +136,28 @@ def fnn_train(model, data, cfg, eval_data=None):
     when provided.
     """
     params = (model.w1, model.b1, model.w2, model.b2)
-    return sgd_train(
-        data, cfg,
-        lambda xb, yb: fnn_forward(model, xb, yb),
+    trace = TrainingTrace()
+    for _, loss, acc in sgd_epochs(
+        data.labels(), cfg,
+        lambda idx: fnn_forward(model, data.rows(idx), data.labels_onehot[idx]),
         lambda cache, dlogits: _dense_step(params, fnn_backward(model, cache, dlogits), cfg),
-        None if eval_data is None else lambda epoch: fnn_evaluate(model, eval_data),
-    )
+    ):
+        trace.record(loss, acc, None if eval_data is None else fnn_evaluate(model, eval_data))
+    return trace
 
 
-def fnn_evaluate(model, data, batch_size=1024):
+def fnn_evaluate(model, data):
     """(accuracy, mean loss) over a dataset; argmax ties go to the lowest class."""
     # a LabeledDataset's rows are finite by construction: only the width is checked
     _check_width(data.n_features, model.w1.shape[0])
     n = data.n_samples
+    if n == 0:
+        raise InputError("dataset is empty")
     correct = 0
     total_loss = 0.0
-    for start in range(0, n, batch_size):
-        xb = data.rows(slice(start, start + batch_size))
-        yb = data.labels_onehot[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb = data.rows(slice(start, start + EVAL_BATCH))
+        yb = data.labels_onehot[start : start + EVAL_BATCH]
         # values only: the hidden-unit derivatives of fnn_forward go unused here
         probs, _, loss, _ = _forward(model, xb, yb, grad=False)
         correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())

@@ -24,8 +24,11 @@ import numpy as np
 
 from .activation import Activation, _crossentropy_rows, activate, softmax, softmax_crossentropy
 from .data import split_corpus
+from .fnn import _dense_step
 from .numerics import InputError, ShapeError
-from .trainutil import TrainingDiverged, TrainingTrace, clip_gradients, shuffle_stream
+# clip_gradients runs inside fnn._dense_step; it stays bound here because
+# perfbench traces each trainer module's names (bench_workloads.trace_targets)
+from .trainutil import TrainingTrace, clip_gradients, sgd_epochs  # noqa: F401
 
 __all__ = ["RnnModel", "rnn_init", "rnn_forward", "rnn_train", "rnn_evaluate"]
 
@@ -158,10 +161,12 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
 
     ``cfg.batch_size`` must be 1.  The split is derived from ``cfg.seed`` so
     runs are reproducible.  Every phrase is checked before the first update,
-    so a bad token leaves the model untouched.  When ``stop_train_loss`` is
-    set, training stops at the end of the first epoch where train accuracy
-    is 1.0 and train loss is below the threshold.  Returns (trace,
-    train_corpus, test_corpus).
+    so a bad token leaves the model untouched.  After each epoch of
+    ``trainutil.sgd_epochs`` the trace records the train split (and a
+    non-empty test split) re-scored; with ``stop_train_loss`` set, training
+    stops after the first epoch whose re-scored train accuracy is 1.0 and
+    train loss is below the threshold.  Returns (trace, train_corpus,
+    test_corpus).
     """
     if cfg.batch_size != 1:
         raise InputError(f"batch_size must be 1, got {cfg.batch_size}")
@@ -169,28 +174,23 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
     train, test = _pack(model, train_set), _pack(model, test_set)
     tokens, lengths, labels = train
     onehots = np.eye(model.wy.shape[1])[labels]
-    rng_shuffle = shuffle_stream(cfg.seed)
     # the order of _backward's gradients: the clip norm is an ordered sum
     params = (model.wx, model.wh, model.bh[0], model.wy, model.by[0], model.embed)
+
+    def forward(idx):
+        seq = tokens[idx[0], :lengths[idx[0]]]
+        states, dacts, logits = _unroll(model, seq[None])
+        probs, loss, dlogits = softmax_crossentropy(logits, onehots[idx])
+        return probs, (seq, states[:, 0], dacts[:, 0]), loss, dlogits
+
+    def update(cache, dlogits):
+        _dense_step(params, _backward(model, *cache, dlogits[0]), cfg)
+
     trace = TrainingTrace()
-    for epoch in range(cfg.epochs):
-        order = rng_shuffle.permutation(len(labels))
-        for rank, idx in enumerate(order):
-            seq = tokens[idx, :lengths[idx]]
-            states, dacts, logits = _unroll(model, seq[None])
-            _, loss, dlogits = softmax_crossentropy(logits, onehots[idx:idx + 1])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, rank)
-            grads = _backward(model, seq, states[:, 0], dacts[:, 0], dlogits[0])
-            clip_gradients(grads, cfg.clip_norm)
-            for p, g in zip(params, grads):
-                p -= cfg.lr * g
+    for _ in sgd_epochs(labels, cfg, forward, update):
         train_acc, train_loss = _score(model, *train)
-        if len(test_set.phrases):
-            test_acc, test_loss = _score(model, *test)
-            trace.record(train_loss, train_acc, test_loss, test_acc)
-        else:
-            trace.record(train_loss, train_acc)
+        test_score = _score(model, *test) if len(test_set.phrases) else None
+        trace.record(train_loss, train_acc, test_score)
         if stop_train_loss is not None and train_acc == 1.0 and train_loss < stop_train_loss:
             break
     return trace, train_set, test_set

@@ -1,5 +1,5 @@
 """Shared training plumbing: configs, traces, clipping, divergence errors
-and the mini-batch SGD loop of the dense classifiers.
+and the shuffled SGD epoch loop that the FNN, BNN and RNN trainers run.
 
 All trainers derive their random streams from ``Rng(cfg.seed)`` the same
 way — substream 0 initializes weights, substream 1 drives shuffling,
@@ -12,7 +12,7 @@ bit-for-bit under one seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ __all__ = [
     "shuffle_stream",
     "noise_stream",
     "eval_stream",
-    "sgd_train",
+    "sgd_epochs",
 ]
 
 INIT_SUBSTREAM = 0
@@ -56,7 +56,7 @@ def eval_stream(seed):
 class TrainConfig:
     lr: float = 0.01
     epochs: int = 10
-    batch_size: int = 64
+    batch_size: int = 1
     clip_norm: float | None = 5.0
     seed: int = 0
 
@@ -87,27 +87,20 @@ class TrainingTrace:
     eval_loss: list = field(default_factory=list)
     eval_accuracy: list = field(default_factory=list)
 
-    def record(self, train_loss, train_acc, eval_loss=None, eval_acc=None):
+    def record(self, train_loss, train_acc, evaluation=None):
+        """Append one epoch; ``evaluation`` is an evaluator's (accuracy, loss)."""
         self.train_loss.append(float(train_loss))
         self.train_accuracy.append(float(train_acc))
-        if eval_loss is not None:
-            self.eval_loss.append(float(eval_loss))
-            self.eval_accuracy.append(float(eval_acc))
+        if evaluation is not None:
+            self.eval_accuracy.append(float(evaluation[0]))
+            self.eval_loss.append(float(evaluation[1]))
 
     @property
     def epochs_run(self):
         return len(self.train_loss)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "train_loss": self.train_loss,
-                "train_accuracy": self.train_accuracy,
-                "eval_loss": self.eval_loss,
-                "eval_accuracy": self.eval_accuracy,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def clip_gradients(grads, clip_norm):
@@ -130,34 +123,29 @@ def clip_gradients(grads, clip_norm):
     return norm
 
 
-def sgd_train(data, cfg, forward, update, evaluate=None):
-    """Shuffled mini-batch epochs over ``data``; returns the TrainingTrace.
+def sgd_epochs(labels, cfg, forward, update):
+    """Shuffled mini-batch SGD; yields (epoch, mean loss, accuracy) after each epoch.
 
-    ``forward(xb, yb)`` returns (probs, cache, loss, dlogits) for one batch
-    and ``update(cache, dlogits)`` applies its SGD step.  The loss is
-    checked before the step, so a batch whose loss is NaN raises
-    TrainingDiverged with the weights as that batch found them.  The trace
-    records the running mean loss and accuracy over each epoch's batches,
-    plus the (accuracy, loss) that ``evaluate(epoch)`` returns, unless that
-    is (None, None).
+    ``forward(idx)`` returns (probs, cache, loss, dlogits) for the sample
+    indices ``idx`` and ``update(cache, dlogits)`` applies their step.  A NaN
+    loss raises TrainingDiverged before the step, with the weights as that
+    batch found them.  Loss and accuracy are running means over the epoch's
+    batches; a sample counts as correct when ``probs.argmax(1)`` is its label.
     """
+    n = len(labels)
+    if n == 0:
+        raise InputError("training set is empty")
     rng_shuffle = shuffle_stream(cfg.seed)
-    n = data.n_samples
-    trace = TrainingTrace()
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
         for start in range(0, n, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            xb = data.rows(batch_idx)
-            yb = data.labels_onehot[batch_idx]
-            probs, cache, loss, dlogits = forward(xb, yb)
+            idx = order[start : start + cfg.batch_size]
+            probs, cache, loss, dlogits = forward(idx)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, start // cfg.batch_size)
             update(cache, dlogits)
-            epoch_loss += loss * len(batch_idx)
-            epoch_correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-        ev_acc, ev_loss = evaluate(epoch) if evaluate is not None else (None, None)
-        trace.record(epoch_loss / n, epoch_correct / n, ev_loss, ev_acc)
-    return trace
+            epoch_loss += loss * len(idx)
+            epoch_correct += int((probs.argmax(axis=1) == labels[idx]).sum())
+        yield epoch, epoch_loss / n, epoch_correct / n

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from qtnn import cli
 from qtnn.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, canonical_json, main
 
@@ -432,6 +433,29 @@ class TestUncomputableValues:
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
     def test_exit_1_with_one_line(self, tmp_path, capsys, cmd, message):
         code = main([*cmd, "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        line = one_error_line(capsys)
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize("model", ["fnn", "bnn"])
+    @pytest.mark.parametrize("empty, message", [
+        ("train", "training set is empty"),
+        ("t10k", "dataset is empty"),
+    ])
+    def test_zero_image_split(self, tmp_path, monkeypatch, capsys, model, empty, message):
+        # a well-formed IDX pair whose image count is 0
+        root = tmp_path / "mnist"
+        root.mkdir()
+        rng = np.random.default_rng(0)
+        for split in ("train", "t10k"):
+            n = 0 if split == empty else 12
+            write_idx_pair(rng.integers(0, 256, (n, 28, 28)), rng.integers(0, 10, n),
+                           root / f"{split}-images-idx3-ubyte",
+                           root / f"{split}-labels-idx1-ubyte")
+        monkeypatch.setenv("QTNN_DATA_DIR", str(tmp_path))
+        code = main(["train", model, "--dataset", "mnist", "--hidden", "4", "--epochs", "1",
+                     "--train-limit", "0", "--test-limit", "0",
+                     "--out", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT
         line = one_error_line(capsys)
         assert line.startswith("error: ") and message in line

@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+import qtnn.bnn
+import qtnn.fnn
 from conftest import write_idx_pair
 from qtnn.activation import Activation
 from qtnn.bnn import bnn_evaluate, bnn_init, bnn_train
@@ -326,7 +328,7 @@ def _train_and_score(data, test, kind):
         trace = fnn_train(model, data, TrainConfig(lr=0.1, epochs=2, batch_size=8, seed=5),
                           eval_data=test)
         weights = (model.w1, model.b1, model.w2, model.b2)
-        score = fnn_evaluate(model, test, batch_size=16)
+        score = fnn_evaluate(model, test)
     else:
         tc = TrainConfig(lr=0.1, epochs=2, batch_size=1,
                          clip_norm=None if kind == "bnn" else 5.0, seed=5)
@@ -334,13 +336,19 @@ def _train_and_score(data, test, kind):
                          n_samples=3)
         trace = bnn_train(model, data, tc, eval_data=test)
         weights = (model.w1_mean, model.b1, model.w2_mean, model.b2)
-        score = bnn_evaluate(model, test, Rng(9), batch_size=16)
+        score = bnn_evaluate(model, test, Rng(9))
     return [w.tobytes() for w in weights], trace.to_json(), score
 
 
 class TestUint8Storage:
     """The trainers read uint8 datasets batch by batch, with the same bytes
     as on float64 inputs, and never convert a whole set."""
+
+    @pytest.fixture(autouse=True)
+    def _several_eval_batches(self, monkeypatch):
+        # the 20-row test splits are scored in two batches
+        monkeypatch.setattr(qtnn.fnn, "EVAL_BATCH", 16)
+        monkeypatch.setattr(qtnn.bnn, "EVAL_BATCH", 16)
 
     @pytest.mark.parametrize("kind", ["fnn", "bnn", "bnn-clipped"])
     def test_uint8_codes_train_like_float64_inputs(self, kind):

@@ -47,8 +47,7 @@ class TestBuild:
         assert abs(spectral_radius(model.w_res) - 1.25) < 1e-4
 
     def test_dense_2x2_scaling_matches_charpoly(self):
-        model = esn_build(n_reservoir=2, rho_target=0.7, density=1.0, seed=5,
-                          washout=0, sr_iters=5000)
+        model = esn_build(n_reservoir=2, rho_target=0.7, density=1.0, seed=5, washout=0)
         # characteristic polynomial of the *scaled* matrix
         w = model.w_res
         tr, det = np.trace(w), np.linalg.det(w)

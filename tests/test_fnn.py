@@ -5,9 +5,10 @@ from conftest import numeric_gradient
 from qtnn.activation import Activation
 from qtnn.bnn import bnn_init, bnn_train
 from qtnn.checkpoint import load_fnn, save_fnn
-from qtnn.data import FormatError, LabeledDataset
+from qtnn.data import FormatError, LabeledDataset, SentimentCorpus
 from qtnn.fnn import fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_train
 from qtnn.numerics import Rng, ShapeError
+from qtnn.rnn import rnn_init, rnn_train
 from qtnn.trainutil import TrainConfig, clip_gradients, init_stream
 
 ALL_KINDS = [
@@ -164,6 +165,18 @@ class TestTraining:
                 train(model, data, cfg)
             assert (err.value.epoch, err.value.batch) == (0, 0)
             assert [getattr(model, name).tobytes() for name in names] == before
+
+    def test_default_config_runs_in_every_trainer(self):
+        # the default batch size is 1, the one that the BNN and RNN trainers accept
+        data = separable_toy_set()
+        corpus = SentimentCorpus([[1], [2]], [1, 0], {"up": 1, "down": 2})
+        traces = [
+            fnn_train(fnn_init(2, 4, 2, Activation.qt(), init_stream(0)), data, TrainConfig()),
+            bnn_train(bnn_init(2, 4, 2, Activation.qt(), init_stream(0)), data, TrainConfig()),
+            rnn_train(rnn_init(3, 4, 2, Activation.qt(), init_stream(0)), corpus,
+                      TrainConfig(), train_frac=1.0)[0],
+        ]
+        assert [trace.epochs_run for trace in traces] == [TrainConfig().epochs] * 3
 
     def test_clip_bound(self):
         rng = np.random.default_rng(0)

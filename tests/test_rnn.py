@@ -131,6 +131,19 @@ class TestTraining:
         with pytest.raises(TrainingDiverged):
             rnn_train(model, two_phrase_corpus(), cfg, train_frac=1.0)
 
+        # an infinite wy makes the very first loss NaN: the loss is checked
+        # before the step, so every array keeps its bytes from before training
+        names = ("embed", "wx", "wh", "bh", "wy", "by")
+        for clip_norm in (5.0, None):
+            model = rnn_init(3, 4, 2, Activation.qt(), init_stream(2))
+            model.wy[:] = np.inf
+            before = [getattr(model, name).tobytes() for name in names]
+            cfg = TrainConfig(lr=0.1, epochs=2, batch_size=1, clip_norm=clip_norm, seed=2)
+            with pytest.raises(TrainingDiverged) as err:
+                rnn_train(model, two_phrase_corpus(), cfg, train_frac=1.0)
+            assert (err.value.epoch, err.value.batch) == (0, 0)
+            assert [getattr(model, name).tobytes() for name in names] == before
+
     def test_determinism(self):
         corpus = load_sentiment(bundled_sentiment_path())
         cfg = TrainConfig(lr=0.05, epochs=2, batch_size=1, clip_norm=5.0, seed=9)
