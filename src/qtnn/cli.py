@@ -51,7 +51,7 @@ from .data import (
     mackey_glass,
 )
 from .esn import esn_build, esn_fit, esn_free_run, mse_metric, nmse_metric
-from .fnn import fnn_evaluate, fnn_init, fnn_train
+from .fnn import fnn_init, fnn_train
 from .numerics import InputError, NumericalFailure, ShapeError, SingularMatrixError
 from .rnn import rnn_init, rnn_train
 from .trainutil import TrainConfig, TrainingDiverged, init_stream
@@ -277,13 +277,11 @@ def _cmd_train_fnn(cfg, args):
     train, test = _load_image_data(cfg)
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch"],
                      clip_norm=cfg["clip"], seed=cfg["seed"])
-    model = fnn_init(train.n_features, cfg["hidden"], train.n_classes, act,
-                     init_stream(tc.seed))
+    model = fnn_init(train.n_features, cfg["hidden"], train.n_classes, act, init_stream(tc.seed))
     trace = fnn_train(model, train, tc, eval_data=test)
-    test_acc, test_loss = fnn_evaluate(model, test)
     return args.out or "fnn_report.json", _trained(
         trace, checkpoint.save_fnn, model, cfg["checkpoint"],
-        test_accuracy=test_acc, test_loss=test_loss)
+        test_accuracy=_last(trace.eval_accuracy), test_loss=_last(trace.eval_loss))
 
 
 def _cmd_train_rnn(cfg, args):

@@ -98,10 +98,11 @@ def _backward_hidden(cache, dlogits):
 
 
 def _dense_step(params, grads, cfg):
-    """Clip the gradients to the global norm ``cfg.clip_norm``, then one SGD step in place."""
+    """Clip to the global norm ``cfg.clip_norm``, then one SGD step in place; consumes ``grads``."""
     clip_gradients(grads, cfg.clip_norm)
     for p, g in zip(params, grads):
-        p -= cfg.lr * g
+        g *= cfg.lr  # rounds as ``p -= lr * g`` does, without a W1-sized temporary
+        p -= g
 
 
 def _forward(model, x, onehot=None, grad=True):

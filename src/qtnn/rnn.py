@@ -26,8 +26,7 @@ from .activation import Activation, _crossentropy_rows, activate, softmax, softm
 from .data import split_corpus
 from .fnn import _dense_step
 from .numerics import InputError, ShapeError
-# clip_gradients runs inside fnn._dense_step; it stays bound here because
-# perfbench traces each trainer module's names (bench_workloads.trace_targets)
+# clip_gradients runs in fnn._dense_step; bound for bench_workloads.trace_targets
 from .trainutil import TrainingTrace, clip_gradients, sgd_epochs  # noqa: F401
 
 __all__ = ["RnnModel", "rnn_init", "rnn_forward", "rnn_train", "rnn_evaluate"]

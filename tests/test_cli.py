@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from qtnn import cli
+from qtnn import cli, fnn
 from qtnn.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, canonical_json, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -146,6 +146,22 @@ class TestTrainCommands:
             assert main(cmd) == EXIT_OK
             reps.append(report_bytes_without_wallclock(rep))
         assert reps[0] == reps[1]
+
+    def test_fnn_scores_test_split_once_per_epoch(self, tmp_path, monkeypatch,
+                                                  synthetic_image_data):
+        monkeypatch.setenv("QTNN_DATA_DIR", str(synthetic_image_data))
+        calls = []
+        evaluate = fnn.fnn_evaluate
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(fnn, "fnn_evaluate", counting)
+        monkeypatch.setattr(cli, "fnn_evaluate", counting, raising=False)  # a direct call too
+        assert main(["train", "fnn", "--hidden", "8", "--epochs", "3", "--batch", "16",
+                     "--seed", "3", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert len(calls) == 3
 
     def test_rnn_bundled_corpus(self, tmp_path):
         rep = tmp_path / "rnn.json"

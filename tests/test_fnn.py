@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qtnn.activation import Activation
 from qtnn.bnn import bnn_init, bnn_train
 from qtnn.checkpoint import load_fnn, save_fnn
 from qtnn.data import FormatError, LabeledDataset, SentimentCorpus
-from qtnn.fnn import fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_train
+from qtnn.fnn import _dense_step, fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_train
 from qtnn.numerics import Rng, ShapeError
 from qtnn.rnn import rnn_init, rnn_train
 from qtnn.trainutil import TrainConfig, clip_gradients, init_stream
@@ -190,6 +192,88 @@ class TestTraining:
         norm = clip_gradients(grads, 5.0)
         assert norm < 5.0
         assert np.all(grads[0] == 0.1)
+
+
+def unscreened_clip(grads, clip_norm):
+    """Oracle: the clip without its vdot screen (exact ordered fold, then the scale)."""
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    norm = np.sqrt(total)
+    if norm > clip_norm:
+        scale = clip_norm / norm
+        for g in grads:
+            g *= scale
+    return norm
+
+
+# the FNN's (w1, b1, w2, b2) at MNIST widths
+FNN_SHAPES = ((784, 512), (1, 512), (512, 10), (1, 10))
+
+
+def fnn_shaped(seed, norm=None):
+    """Standard-normal arrays of FNN_SHAPES, scaled to the exact global ``norm``."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(shape) for shape in FNN_SHAPES]
+    if norm is not None:
+        scale = norm / np.sqrt(sum(float((a * a).sum()) for a in arrays))
+        for a in arrays:
+            a *= scale
+    return arrays
+
+
+class TestScreenedClip:
+    CLIP = 5.0
+
+    def check_against_oracle(self, grads):
+        expected = [g.copy() for g in grads]
+        ref = unscreened_clip(expected, self.CLIP)
+        norm = clip_gradients(grads, self.CLIP)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in expected]
+        assert (norm > self.CLIP) == (ref > self.CLIP)
+        if np.isfinite(ref):
+            assert abs(norm - ref) <= 1e-12 * ref
+        else:
+            assert np.array_equal(norm, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-3, 1 - 2e-6, 1 - 1e-9, 1.0,
+                                       1 + 1e-9, 1 + 1e-3, 2.0])
+    def test_matches_unscreened_clip(self, seed, ratio):
+        self.check_against_oracle(fnn_shaped(seed, ratio * self.CLIP))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_non_finite_grads_take_the_exact_path(self, bad, where):
+        grads = fnn_shaped(2, 0.5 * self.CLIP)
+        grads[where][0, 3] = bad
+        self.check_against_oracle(grads)
+
+
+class TestDenseStep:
+    def test_unclipped_step_makes_no_w1_sized_temporary(self):
+        params, grads = fnn_shaped(3), fnn_shaped(4, 0.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _dense_step(params, grads, TrainConfig(lr=0.01, clip_norm=5.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.5 * 2**20  # one 784x512 float64 temporary is 3.2 MB
+
+    @pytest.mark.parametrize("lr", [0.01, 0.0])
+    @pytest.mark.parametrize("norm", [0.5, 50.0], ids=["unclipped", "clipped"])
+    def test_bit_equal_to_out_of_place_step(self, lr, norm):
+        params, grads = fnn_shaped(5), fnn_shaped(6, norm)
+        expected, ref_grads = [p.copy() for p in params], [g.copy() for g in grads]
+        unscreened_clip(ref_grads, 5.0)
+        for p, g in zip(expected, ref_grads):
+            p -= lr * g
+        _dense_step(params, grads, TrainConfig(lr=lr, clip_norm=5.0))
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in expected]
 
 
 class TestEvaluate:
