@@ -4,6 +4,8 @@ Weights are Gaussian, parameterized per entry as mean + std * eps with eps
 drawn standard normal at each forward pass; prediction averages the softmax
 outputs of many such draws, and training runs plain per-sample SGD on the
 means through the sampled weights (stds stay at their initial values).
+Prediction samples each next draw on a worker thread during the current
+forward pass; draws own their child streams and sum in sample order.
 
 Training runs at batch size one and uses an exact shortcut for the first
 layer: the sampled-weight forward only exposes layer-1 noise through
@@ -116,33 +118,41 @@ def bnn_sample_forward(model, x, rng, onehot=None):
     (row-major) followed by all of eps_2.  Without ``onehot`` the loss,
     dlogits and the cached activation derivative ``cache["dh"]`` are None.
     """
-    return _sample_forward(model, _check_input(x, model.w1_mean.shape[0]), rng, onehot)
-
-
-def _sample_forward(model, x, rng, onehot=None):
-    """bnn_sample_forward on an ``x`` that _check_input has already passed."""
-    # both draws before either sum: this order of the W1-sized allocations
-    # keeps glibc's heap trimmable; forming w1s before drawing eps2 left
-    # perfbench bnn-fashion's peak_rss_mb 9% higher on some seeds
-    eps1 = rng.normals(model.w1_mean.size).reshape(model.w1_mean.shape)
-    eps2 = rng.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
-    w1s = model.w1_mean + model.w1_std * eps1
-    w2s = model.w2_mean + model.w2_std * eps2
+    x = _check_input(x, model.w1_mean.shape[0])
+    w1s, w2s = _sample_weights(model, rng)
     probs, cache, loss, dlogits = _forward_with_weights(model, x, w1s, w2s, onehot)
     return probs, cache, (w1s, w2s), loss, dlogits
+
+
+def _sample_weights(model, rng):
+    """(w1, w2) of one draw, each formed in its eps buffer as mean + std * eps."""
+    w1s = rng.normals(model.w1_mean.size).reshape(model.w1_mean.shape)
+    w1s *= model.w1_std
+    w1s += model.w1_mean
+    w2s = rng.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
+    w2s *= model.w2_std
+    w2s += model.w2_mean
+    return w1s, w2s
 
 
 def bnn_predict(model, x, rng):
     """Posterior-averaged class probabilities over model.n_samples draws.
 
     Each draw runs from its own child stream (seed, sample index), so the
-    average is independent of evaluation order or parallel scheduling.
+    average is independent of evaluation order or parallel scheduling: a worker
+    thread samples draw i + 1 while this thread runs draw i, and the sum keeps
+    sample order.  A draw's exception is raised here, after the worker exits.
     """
+    from concurrent.futures import ThreadPoolExecutor  # lazy: only prediction uses a pool
     x = _check_input(x, model.w1_mean.shape[0])
     acc = 0.0
-    for i in range(model.n_samples):
-        probs, _, _, _, _ = _sample_forward(model, x, rng.spawn(i))
-        acc += probs
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(_sample_weights, model, rng.spawn(0))
+        for i in range(model.n_samples):
+            w1s, w2s = ahead.result()
+            if i + 1 < model.n_samples:
+                ahead = worker.submit(_sample_weights, model, rng.spawn(i + 1))
+            acc += _forward_with_weights(model, x, w1s, w2s)[0]
     return acc / model.n_samples
 
 

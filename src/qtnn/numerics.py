@@ -173,11 +173,7 @@ def spectral_radius(w, iters=1000):
         raise InputError("iters must be at least 100")
     # fixed-seed start vector: deterministic, generic w.r.t. eigenvectors
     v = Rng(0x5EED_0F_A11).uniforms(n) - 0.5
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # pragma: no cover - cannot happen with the fixed seed
-        v = np.ones(n)
-        nv = np.sqrt(float(n))
-    v /= nv
+    v /= np.linalg.norm(v)
     window = min(100, iters)
     log_growth = np.zeros(window)
     for k in range(iters):
@@ -237,9 +233,10 @@ class Rng:
     step.  The lane count is a fixed constant of the stream definition:
     identical seeds give identical streams.
 
-    Uniforms map the top 53 bits into [0, 1).  ``normals`` consumes the raw
-    stream in pairs through the Box-Muller transform; an odd request
-    discards the second member of the final pair.
+    Uniforms map the top 53 bits into [0, 1).  ``normals(n)`` streams
+    p = ceil(n / 2) words as u1, then p as u2, through the Box-Muller
+    transform a block at a time (radii into the output, then cos and sin
+    multiplied in); an odd n discards the second member of the final pair.
     """
 
     LANES = 8192
@@ -247,51 +244,40 @@ class Rng:
     def __init__(self, seed):
         self.seed = int(seed) & _MASK64
         words = _splitmix64_stream(self.seed, 4 * self.LANES)
-        state = words.reshape(self.LANES, 4)
-        self._s0 = state[:, 0].copy()
-        self._s1 = state[:, 1].copy()
-        self._s2 = state[:, 2].copy()
-        self._s3 = state[:, 3].copy()
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
+        self._s0, self._s1, self._s2, self._s3 = words.reshape(self.LANES, 4).T.copy()
+        self._buf, self._scratch = np.empty((2, self.LANES), dtype=np.uint64)
+        self._pos = self.LANES  # the block buffer holds no unread words yet
 
-    def _raw_block(self):
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        r = s1 * _U64(5)
-        r = ((r << _U64(7)) | (r >> _U64(57))) * _U64(9)
-        t = s1 << _U64(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = (s3 << _U64(45)) | (s3 >> _U64(19))
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return r
+    def _step(self, out):
+        """One generator step in place: the next block of LANES words into ``out``."""
+        s0, s1, s2, s3, t = self._s0, self._s1, self._s2, self._s3, self._scratch
+        np.multiply(s1, _U64(5), out=out)
+        np.left_shift(out, _U64(7), out=t)
+        out >>= _U64(57)
+        out |= t
+        out *= _U64(9)
+        np.left_shift(s1, _U64(17), out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, _U64(45), out=t)
+        s3 >>= _U64(19)
+        s3 |= t
 
     def _raw(self, count):
-        chunks = []
-        have = self._buf.size - self._pos
-        if have:
-            take = min(have, count)
-            chunks.append(self._buf[self._pos : self._pos + take])
+        out = np.empty(count, dtype=np.uint64)
+        done = 0
+        while done < count:
+            if self._pos == self.LANES:
+                self._step(self._buf)
+                self._pos = 0
+            take = min(count - done, self.LANES - self._pos)
+            out[done : done + take] = self._buf[self._pos : self._pos + take]
             self._pos += take
-            count -= take
-        while count > 0:
-            block = self._raw_block()
-            if count >= block.size:
-                chunks.append(block)
-                count -= block.size
-            else:
-                chunks.append(block[:count])
-                self._buf = block
-                self._pos = count
-                count = 0
-        if not chunks:
-            return np.empty(0, dtype=np.uint64)
-        if len(chunks) == 1:
-            return chunks[0].copy()
-        return np.concatenate(chunks)
+            done += take
+        return out
 
     def next_u64(self):
         """One raw 64-bit value as a Python int."""
@@ -299,28 +285,32 @@ class Rng:
 
     def uniforms(self, count):
         """``count`` doubles uniform on [0, 1)."""
-        return (self._raw(count) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+        raw = self._raw(count)
+        return np.right_shift(raw, _U64(11), out=raw) * 2.0 ** -53
 
     def normals(self, count):
         """``count`` standard normal doubles via Box-Muller."""
         pairs = (count + 1) // 2
-        raw = self._raw(2 * pairs)
-        # u1 on (0, 1] so the log is finite; u2 on [0, 1)
-        u1 = ((raw[:pairs] >> _U64(11)) + _U64(1)).astype(np.float64) * (2.0 ** -53)
-        u2 = (raw[pairs:] >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        return z[:count]
+        z = np.empty((pairs, 2))
+        for start in range(0, pairs, self.LANES):  # u1 on (0, 1] so the log is finite
+            pair = z[start : start + self.LANES]
+            u1 = ((self._raw(len(pair)) >> _U64(11)) + _U64(1)) * 2.0 ** -53
+            np.sqrt(-2.0 * np.log(u1), out=pair[:, 0])
+        for start in range(0, pairs, self.LANES):  # u2 on [0, 1)
+            pair = z[start : start + self.LANES]
+            angle = 2.0 * np.pi * ((self._raw(len(pair)) >> _U64(11)) * 2.0 ** -53)
+            np.multiply(pair[:, 0], np.sin(angle), out=pair[:, 1])
+            pair[:, 0] *= np.cos(angle)
+        return z.reshape(-1)[:count]
 
     def normal_matrix(self, rows, cols, std=1.0):
-        return (std * self.normals(rows * cols)).reshape(rows, cols)
+        z = self.normals(rows * cols).reshape(rows, cols)
+        return np.multiply(z, std, out=z)
 
     def uniform_matrix(self, rows, cols):
         """Doubles uniform on [-0.5, 0.5), row-major."""
-        return -0.5 + self.uniforms(rows * cols).reshape(rows, cols)
+        u = self.uniforms(rows * cols).reshape(rows, cols)
+        return np.subtract(u, 0.5, out=u)
 
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n), one unbiased draw per swap.

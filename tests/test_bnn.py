@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,48 @@ class TestPredict:
             bnn_predict(model, x, Rng(8))
         with pytest.raises(ShapeError):
             bnn_predict(model, np.ones((2, 3)), Rng(8))
+
+    def test_worker_draw_error_surfaces_and_no_thread_is_left(self, monkeypatch):
+        model = small_model(std=0.05)
+        model.n_samples = 4
+        x = np.ones((2, 4))
+        threads = threading.active_count()
+        bnn_predict(model, x, Rng(5))
+        assert threading.active_count() == threads
+        boom = RuntimeError("draw failed")
+        normals, calls = Rng.normals, []
+
+        def third_call_fails(rng, count):
+            calls.append(count)
+            if len(calls) == 3:  # eps_1 of draw 1, drawn ahead on the worker
+                raise boom
+            return normals(rng, count)
+
+        monkeypatch.setattr(Rng, "normals", third_call_fails)
+        with pytest.raises(RuntimeError) as caught:
+            bnn_predict(model, x, Rng(5))
+        assert caught.value is boom
+        assert len(calls) == 3
+        assert threading.active_count() == threads
+
+    def test_draw_ahead_holds_one_extra_w1(self):
+        model = bnn_init(784, 512, 10, Activation.qt(), init_stream(2), std_init=0.01, n_samples=4)
+        x = np.random.default_rng(4).random((64, 784))
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fn()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        root = Rng(6)  # made before either window: only child streams are counted
+        one_draw = traced_peak(lambda: bnn_sample_forward(model, x, root.spawn(0)))
+        predict = traced_peak(lambda: bnn_predict(model, x, root))
+        assert predict < one_draw + model.w1_mean.nbytes + 0.5 * 2**20
 
     def test_rows_sum_to_one(self):
         model = small_model(std=0.2)

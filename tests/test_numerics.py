@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,26 @@ def scalar_xoshiro_reference(seed, count):
     return outputs[:count]
 
 
+def one_shot_uniforms(words):
+    """Uniforms from a list of raw words, by the whole-array formula."""
+    return (np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def one_shot_normals(words, count):
+    """Box-Muller over whole arrays: u1 from the first half of the words, u2 from
+    the second, radius * cos and radius * sin interleaved, the spare dropped."""
+    pairs = (count + 1) // 2
+    raw = np.array(words[: 2 * pairs], dtype=np.uint64)
+    u1 = ((raw[:pairs] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * (2.0 ** -53)
+    u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:count]
+
+
 
 def fisher_yates_reference(rng, n):
     """The plain Fisher-Yates loop: one unbiased draw on [0, i] per swap,
@@ -262,6 +284,36 @@ class TestRng:
             words = _splitmix64_stream(seed, 4 * Rng.LANES)
             for short in (1, 4):
                 assert np.array_equal(_splitmix64_stream(seed, short), words[:short])
+
+    @pytest.mark.parametrize("prior", [0, 5], ids=["fresh", "partial-block"])
+    def test_streamed_draws_match_one_shot_formulas(self, prior):
+        # a prior uniforms(5) starts each draw mid-block, so the u1 and the u2
+        # words straddle block edges and share the block where u1 ends
+        lanes = Rng.LANES
+        words = scalar_xoshiro_reference(17, prior + 2 * lanes + 7)
+        for n in (0, 1, 3, lanes - 1, lanes, lanes + 1, 2 * lanes + 3):
+            used = 2 * ((n + 1) // 2)
+            rng = Rng(17)
+            assert rng.uniforms(prior).tobytes() == one_shot_uniforms(words[:prior]).tobytes()
+            got = rng.normals(n)
+            assert got.tobytes() == one_shot_normals(words[prior:], n).tobytes()
+            assert rng.next_u64() == words[prior + used]
+            rng = Rng(17)
+            rng.uniforms(prior)
+            assert rng.uniforms(n).tobytes() == one_shot_uniforms(words[prior : prior + n]).tobytes()
+            assert rng.next_u64() == words[prior + n]
+
+    def test_normals_allocate_only_their_output(self):
+        rng = Rng(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            z = rng.normals(401408)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < z.nbytes + 0.5 * 2**20  # the one-shot transform took 14 MiB
 
     def test_gaussian_moments(self):
         z = Rng(7).normals(1_000_000)
