@@ -11,6 +11,9 @@ to roundoff and stepping with -dt undoes stepping with +dt exactly.
 Boundaries are Dirichlet (psi = 0 on a ghost ring outside the grid); the
 scenarios keep the packet five standard deviations away from walls and
 barrier so nothing reaches the edges inside the simulated window.
+
+``wp_step`` advances ``grid.psi`` in place, through two persistent work buffers,
+so it must stay the C-contiguous complex128 array ``wp_init`` makes.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ class _KineticADI:
         self.m_diag = 1.0 - r * diag_val
         a_diag = 1.0 + r * diag_val
         self.factors = {n: self._factor(a_diag, n) for n in {nx, ny}}
+        self.work = np.empty((2, nx, ny), dtype=np.complex128)
 
     def _factor(self, a_diag, n):
         cp = np.empty(n, dtype=np.complex128)
@@ -95,21 +99,22 @@ class _KineticADI:
             d[i] -= cp[i] * d[i + 1]
         return d
 
-    def _apply_m_axis1(self, psi):
-        out = psi * self.m_diag
-        out[:, 1:] += self.m_off * psi[:, :-1]
-        out[:, :-1] += self.m_off * psi[:, 1:]
-        return out
-
-    def _apply_m_axis0(self, psi):
-        out = psi * self.m_diag
-        out[1:, :] += self.m_off * psi[:-1, :]
-        out[:-1, :] += self.m_off * psi[1:, :]
+    def _apply_m(self, psi, out, tmp):
+        # (I - r H_1d) along axis 1 into out; tmp is scratch of psi's shape
+        np.multiply(psi, self.m_diag, out=out)
+        np.multiply(self.m_off, psi[:, :-1], out=tmp[:, 1:])
+        out[:, 1:] += tmp[:, 1:]
+        np.multiply(self.m_off, psi[:, 1:], out=tmp[:, :-1])
+        out[:, :-1] += tmp[:, :-1]
         return out
 
     def step(self, psi):
-        star = self._solve_rows(self._apply_m_axis1(psi))
-        return self._solve_rows(self._apply_m_axis0(star).T.copy()).T.copy()
+        # in place; the y half runs on the transposed copy t, psi is scratch
+        star, t = self.work[0], self.work[1].reshape(psi.shape[::-1])
+        self._solve_rows(self._apply_m(psi, star, self.work[1]))
+        t[...] = star.T
+        out = self._apply_m(t, star.reshape(t.shape), psi.reshape(t.shape))
+        psi[...] = self._solve_rows(out).T
 
 
 class Grid2D:
@@ -117,22 +122,13 @@ class Grid2D:
 
     def __init__(self, psi, v, dx, dt, scenario):
         self.psi = psi
+        self.nx, self.ny = psi.shape
         self.v = v
         self.dx = dx
         self.dt = dt
         self.scenario = scenario
         self.steps_taken = 0
-        self._cache_dt = None
-        self._kinetic = None
-        self._phase = None
-
-    @property
-    def nx(self):
-        return self.psi.shape[0]
-
-    @property
-    def ny(self):
-        return self.psi.shape[1]
+        self._cache_dt = self._kinetic = self._phase = None
 
     def density(self):
         return np.abs(self.psi) ** 2
@@ -218,11 +214,15 @@ def wp_init(scenario, nx=400, ny=400, dx=0.1, dt=0.005):
 
 
 def wp_step(grid):
-    """Advance one step of grid.dt; raises NumericalFailure on divergence."""
+    """Advance grid.psi in place by one step of grid.dt.
+
+    grid.psi must stay the C-contiguous complex128 array wp_init made; a
+    caller that keeps a state copies it.  Raises NumericalFailure on divergence.
+    """
     kinetic, phase = grid._stepper()
-    psi = phase * grid.psi
-    psi = kinetic.step(psi)
-    grid.psi = phase * psi
+    np.multiply(phase, grid.psi, out=grid.psi)
+    kinetic.step(grid.psi)
+    np.multiply(phase, grid.psi, out=grid.psi)
     grid.steps_taken += 1
     norm = grid.norm()
     if not norm <= 1.0 + 1e-3:  # a NaN norm fails too

@@ -4,12 +4,17 @@ The oracles here deliberately avoid the code paths they check: IDX files
 are serialized with raw struct packing, linear systems are solved by
 Gaussian elimination with partial pivoting, and gradients are estimated
 with central finite differences.
+
+The two long 400x400 wavepacket trajectories are stepped once per session
+and shared by the tests that read states along them.
 """
 
 import struct
 
 import numpy as np
 import pytest
+
+from qtnn.wavepacket import Scenario, wp_init, wp_step
 
 
 def write_idx_pair(images, labels, images_path, labels_path):
@@ -97,3 +102,39 @@ def synthetic_image_data(tmp_path):
         write_idx_pair(images[n // 2 :], labels[n // 2 :],
                        root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
     return tmp_path
+
+
+class Trajectory:
+    """States of one wavepacket run, stepped once with wp_step as wp_run does.
+
+    ``psi[k]`` is a copy of the field after k steps, for k = 0 and each k in
+    ``keep``; ``grid(k)`` is a fresh grid holding that state, which a test
+    may keep stepping without touching the shared copy.
+    """
+
+    def __init__(self, scenario, keep, **grid_kw):
+        self.scenario, self.grid_kw = scenario, grid_kw
+        grid = wp_init(scenario, **grid_kw)
+        self.psi = {0: grid.psi.copy()}
+        for step in range(1, max(keep) + 1):
+            wp_step(grid)
+            if step in keep:
+                self.psi[step] = grid.psi.copy()
+
+    def grid(self, step):
+        grid = wp_init(self.scenario, **self.grid_kw)
+        grid.psi[...] = self.psi[step]
+        grid.steps_taken = step
+        return grid
+
+
+@pytest.fixture(scope="session")
+def barrier_run():
+    """Scenario() on the default grid, to 600 steps (c10 and the four phases)."""
+    return Trajectory(Scenario(), {100, 150, 300, 450, 500, 600})
+
+
+@pytest.fixture(scope="session")
+def double_slit_run():
+    """The default double slit, to 700 steps (c10 and the fringes)."""
+    return Trajectory(Scenario(kind="double_slit", slit_width=1.0, slit_sep=3.0), {300, 700})

@@ -22,7 +22,7 @@ from qtnn.fnn import fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_trai
 from qtnn.numerics import Rng, spectral_radius
 from qtnn.rnn import rnn_init, rnn_train
 from qtnn.trainutil import TrainConfig, init_stream
-from qtnn.wavepacket import Scenario, probability_partition, wp_init, wp_run, wp_step
+from qtnn.wavepacket import Scenario, probability_partition, wp_init, wp_step
 
 EV = 1.602176634e-19
 ELECTRON_MASS = 9.1093837015e-31
@@ -299,12 +299,9 @@ def test_c09_esn_structure():
     _announce("C9", "radius scaling, ridge oracle, fading memory")
 
 
-def test_c10_wavepacket():
+def test_c10_wavepacket(barrier_run, double_slit_run):
     # norm drift and probability partition, default barrier scenario, 400x400
-    scenario = Scenario()
-    grid = wp_init(scenario)
-    for _ in range(500):
-        wp_step(grid)
+    grid = barrier_run.grid(500)  # Scenario() after 500 wp_step calls
     drift = abs(1.0 - grid.norm())
     assert drift < 1e-6
     part = probability_partition(grid)
@@ -312,18 +309,14 @@ def test_c10_wavepacket():
     assert abs(total - 1.0) < 1e-4
     assert 0.0 < part["transmitted"] < 0.5
     # time reversal
-    grid2 = wp_init(scenario)
-    psi0 = grid2.psi.copy()
-    for _ in range(100):
-        wp_step(grid2)
+    grid2 = barrier_run.grid(100)
+    psi0 = barrier_run.psi[0]
     grid2.dt = -grid2.dt
     for _ in range(100):
         wp_step(grid2)
     assert np.abs(grid2.psi - psi0).max() < 1e-6
     # double-slit mirror symmetry after 300 steps
-    slit = Scenario(kind="double_slit", slit_width=1.0, slit_sep=3.0)
-    frames, _ = wp_run(slit, 300, snapshot_every=0)
-    final = frames[-1][1]
+    final = double_slit_run.grid(300).density()
     assert np.abs(final - final[:, ::-1]).max() < 1e-6
     # free-packet group velocity within 1% (lattice dispersion controlled)
     free = Scenario(v0=0.0, k0x=1.0, x0=10.0)

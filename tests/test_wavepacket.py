@@ -1,6 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import Trajectory
 from qtnn.numerics import InputError
 from qtnn.wavepacket import (
     NumericalFailure,
@@ -14,6 +18,19 @@ from qtnn.wavepacket import (
 
 # small grids keep the module tests fast; the acceptance suite runs 400x400
 SMALL = dict(nx=128, ny=128, dx=0.1, dt=0.005)
+
+
+def reference_step(kinetic, phase, psi):
+    """One step in plain out-of-place arithmetic, operands in wp_step's order."""
+    psi = phase * psi
+    out = psi * kinetic.m_diag
+    out[:, 1:] += kinetic.m_off * psi[:, :-1]
+    out[:, :-1] += kinetic.m_off * psi[:, 1:]
+    star = kinetic._solve_rows(out)
+    out = star * kinetic.m_diag
+    out[1:, :] += kinetic.m_off * star[:-1, :]
+    out[:-1, :] += kinetic.m_off * star[1:, :]
+    return phase * kinetic._solve_rows(out.T.copy()).T.copy()
 
 
 def small_scenario(**kw):
@@ -104,12 +121,98 @@ class TestStep:
             wp_step(grid)
         assert np.abs(grid.psi - psi0).max() < 1e-6
 
+    def test_in_place_step_bit_equal_to_out_of_place_reference(self):
+        # non-square, so the (ny, nx) views of the work buffers are exercised
+        grid = wp_init(small_scenario(), nx=48, ny=40, dx=0.2, dt=0.005)
+        psi, field = grid.psi, grid.psi.copy()
+        for dt in (0.005, -0.005):
+            grid.dt = dt
+            kinetic, phase = grid._stepper()
+            for _ in range(4):
+                field = reference_step(kinetic, phase, field)
+                wp_step(grid)
+                assert grid.psi.tobytes() == field.tobytes()
+        assert grid.psi is psi and psi.flags.c_contiguous
+
+    def test_step_allocates_no_full_grid_array(self):
+        # at 256x256 NumPy squares the density's temporary in place, and its
+        # fixed 8192-element ufunc buffers stay smaller than the density
+        grid = wp_init(small_scenario(), nx=256, ny=256, dx=0.1, dt=0.005)
+        for _ in range(3):
+            wp_step(grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                wp_step(grid)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the one full-size temporary left is norm()'s float64 density
+        assert peak - base <= 0.5 * grid.psi.nbytes + 4096
+        assert now - base < 1024  # tracemalloc's own few bytes; nothing kept
+
     def test_divergence_detection(self):
         grid = wp_init(small_scenario(), **SMALL)
         grid.psi *= 1.1  # corrupt the state so the norm check trips
         with pytest.raises(NumericalFailure) as err:
             wp_step(grid)
         assert err.value.step == 1
+
+
+class TestEdgeGrid:
+    """Scenario/wp_init at edge values: a step or an InputError, nothing else."""
+
+    DX, NX, NY = 0.1, 64, 48
+
+    @staticmethod
+    def around(v):
+        return v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)
+
+    def edge_cases(self):
+        dx, sigma, barrier_x = self.DX, 0.3, 3.0
+        margin = 5.0 * sigma  # x0 = margin is also barrier_x - margin
+        width_y = (self.NY - 1) * dx
+        around = self.around
+        values = dict(
+            kind=("barrier", "single_slit", "double_slit"),
+            thickness=around(dx),
+            slit_width=around(dx)[:2] + (0.4,),
+            x0=(margin, np.nextafter(margin, 0.0), barrier_x + dx + margin),
+            y0=(None, margin, width_y - margin),
+            v0=(0.0, 15.625),
+        )
+        for combo in itertools.product(*values.values()):
+            yield dict(zip(values, combo), barrier_x=barrier_x, sigma=sigma)
+        # seeded draws of every field, each nudged by at most one ulp
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            case = {k: v[rng.integers(len(v))] for k, v in values.items()}
+            for k in ("thickness", "slit_width", "x0", "y0"):
+                if case[k] is not None:
+                    case[k] = around(case[k])[rng.integers(3)]
+            yield dict(case, barrier_x=barrier_x, sigma=sigma)
+
+    def test_every_case_steps_or_raises_input_error(self):
+        stepped = rejected = 0
+        for case in self.edge_cases():
+            try:
+                grid = wp_init(Scenario(**case), nx=self.NX, ny=self.NY, dx=self.DX)
+            except InputError:
+                rejected += 1
+                continue
+            wp_step(grid)
+            assert abs(grid.norm() - 1.0) < 1e-6, case
+            stepped += 1
+        assert stepped > 100 and rejected > 100
+
+    def test_packet_exactly_at_the_wall_and_barrier_margins_steps(self):
+        grid = wp_init(Scenario(x0=1.5, sigma=0.3, barrier_x=3.0, thickness=self.DX,
+                                y0=1.5), nx=self.NX, ny=self.NY, dx=self.DX)
+        wp_step(grid)
+        with pytest.raises(InputError, match="wall"):
+            wp_init(Scenario(x0=np.nextafter(1.5, 0.0), sigma=0.3, barrier_x=3.0),
+                    nx=self.NX, ny=self.NY, dx=self.DX)
 
 
 class TestRun:
@@ -138,9 +241,9 @@ class TestRun:
         with pytest.raises(InputError):
             wp_run(small_scenario(), 0, **SMALL)
 
-    def test_four_phase_sequence_at_default_scale(self):
+    def test_four_phase_sequence_at_default_scale(self, barrier_run):
         # approach, barrier interaction, then a reflected/transmitted split
-        frames, _ = wp_run(Scenario(), 600, snapshot_every=150)
+        frames = [(step, barrier_run.grid(step).density()) for step in range(0, 601, 150)]
         x = np.arange(400) * 0.1
         mass = {}
         for step, frame in frames:
@@ -156,10 +259,8 @@ class TestRun:
         assert mass[600][0] > 0.5                      # reflected lobe dominates
         assert mass[600][1] < mass[450][1]             # barrier interior drains
 
-    def test_double_slit_interference_fringes(self):
-        slit = Scenario(kind="double_slit", slit_width=1.0, slit_sep=3.0)
-        frames, _ = wp_run(slit, 700, snapshot_every=0)
-        final = frames[-1][1]
+    def test_double_slit_interference_fringes(self, double_slit_run):
+        final = double_slit_run.grid(700).density()
         x = np.arange(400) * 0.1
         profile = final[x >= 25.0, :].sum(axis=0)
         peaks = sum(
@@ -170,6 +271,19 @@ class TestRun:
             and profile[j] > 0.05 * profile.max()
         )
         assert peaks >= 3
+
+    def test_shared_trajectory_matches_direct_wp_step_loop(self):
+        scenario = small_scenario()
+        run = Trajectory(scenario, {3, 6}, **SMALL)
+        grid = wp_init(scenario, **SMALL)
+        for step in range(1, 7):
+            wp_step(grid)
+            if step in (3, 6):
+                assert run.grid(step).psi.tobytes() == grid.psi.tobytes()
+                assert run.grid(step).steps_taken == step
+        frames, _ = wp_run(scenario, 6, snapshot_every=3, **SMALL)
+        for step, frame in frames:
+            assert run.grid(step).density().tobytes() == frame.tobytes()
 
     def test_grid_refinement_transmission_stable(self):
         # halving dx and dt moves the transmitted fraction by < 5%
