@@ -1,37 +1,37 @@
 """Bayesian single-hidden-layer classifier with sampled weights.
 
-Weights are Gaussian, parameterized per entry as mean + std * eps with eps
-drawn standard normal at each forward pass; prediction averages the softmax
-outputs of many such draws, and training runs plain per-sample SGD on the
-means through the sampled weights (stds stay at their initial values).
-Prediction samples each next draw on a worker thread during the current
-forward pass; draws own their child streams and sum in sample order.
+Weights are Gaussian, mean + std * eps per entry with eps drawn standard
+normal at each forward pass.  Prediction averages the softmax outputs of many
+draws; training runs per-sample SGD on the means through the sampled weights
+(stds stay at their initial values).  Both draw their noise ahead on one
+worker thread (``_ahead``): prediction samples draw i + 1, from its own child
+stream, during draw i's forward pass and sums in sample order; training draws
+a chunk of rows' noise (about 1 MiB) ahead, from its one noise stream in the
+order the rows are visited.  No result depends on the thread schedule.
 
-Training runs at batch size one and uses an exact shortcut for the first
-layer: the sampled-weight forward only exposes layer-1 noise through
-z1 = x (W1_mean + W1_std o eps) + b1, whose noise term is Gaussian with
-diagonal covariance (x^2) (W1_std^2) across hidden units (disjoint eps
-columns), and the backward pass never touches the sampled W1.  Sampling
-that noise vector directly is therefore distribution-identical to
-materializing all of eps_1 and two orders of magnitude cheaper at MNIST
-width.  Layer 2 is always sampled literally, entry by entry, because the
-same eps_2 realization appears in both the forward and backward passes.
+Training runs at batch size one with an exact shortcut for layer 1: its noise
+reaches the forward pass only through z1 = x (W1_mean + W1_std o eps) + b1,
+whose noise term is Gaussian with diagonal covariance (x^2) (W1_std^2) across
+hidden units (disjoint eps columns), and the backward pass never touches the
+sampled W1.  Sampling that vector directly is distribution-identical to
+drawing all of eps_1 and two orders of magnitude cheaper at MNIST width.
+Layer 2 is sampled entry by entry: one eps_2 realization feeds both passes.
 
-Without gradient clipping (which is what ``qtnn train bnn`` always runs)
-the W1 gradient x^T dhidden is rank one, so the SGD step touches only the
-rows of W1_mean whose input feature is non-zero and the dense gradient is
-never formed.  Each entry is still the one rounded product x_i * dhidden_j
-scaled by the learning rate, so the result is bit-identical to the dense
-step, except that a W1_mean entry of exactly -0.0 on a zero-input row
-stays -0.0 where the dense step may turn it into +0.0 by subtracting -0.0.
-Clipped runs keep the dense step: the clip norm is a sum over the dense
-gradient, and the zero-std model matches the feedforward trainer only if
-that sum is formed alike.
+Without gradient clipping (what ``qtnn train bnn`` always runs) the W1
+gradient x^T dhidden is rank one, so the SGD step touches only the W1_mean
+rows of non-zero input features.  Each entry is still the one rounded product
+x_i * dhidden_j scaled by the learning rate, bit-identical to the dense step
+except that a -0.0 entry on a zero-input row stays -0.0 where the dense step
+may make it +0.0.  Clipped runs keep the dense step: the clip norm is a sum
+over the dense gradient, and the zero-std model matches the feedforward
+trainer only if that sum is formed alike.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,9 +39,8 @@ import numpy as np
 # dense core in .fnn; they stay bound here because perfbench traces each
 # trainer module's names (bench_workloads.trace_targets)
 from .activation import Activation, activate, softmax_crossentropy  # noqa: F401
-from .fnn import (
-    _backward_hidden, _check_input, _check_layers, _dense_forward, _dense_step, fnn_backward,
-)
+from .fnn import _backward_hidden, _check_input, _check_layers, _dense_forward, _dense_step
+from .fnn import fnn_backward, fnn_init
 from .numerics import InputError, ShapeError
 from .trainutil import TrainingTrace, eval_stream, noise_stream, sgd_epochs
 from .trainutil import clip_gradients  # noqa: F401
@@ -56,6 +55,7 @@ __all__ = [
 ]
 
 EVAL_BATCH = 512  # rows per bnn_evaluate batch; each batch's draws spawn from its start row
+_CHUNK = 131072  # training noise doubles per chunk drawn ahead: 1 MiB, as activation._BLOCK
 
 
 @dataclass
@@ -88,19 +88,13 @@ class BnnModel:
 
 
 def bnn_init(n_features, n_hidden, n_classes, hidden_act, rng, std_init=0.01, n_samples=50):
-    """Means as in the feedforward init, stds constant at ``std_init``.
+    """The feedforward init's weights and biases as means, stds constant at ``std_init``.
 
-    The means are drawn in the same order as the feedforward initializer,
-    so a zero-std model matches an FnnModel built from the same stream.
+    So a zero-std model matches an FnnModel built from the same stream.
     """
-    w1_mean = rng.normal_matrix(n_features, n_hidden, std=1.0 / np.sqrt(n_features))
-    w2_mean = rng.normal_matrix(n_hidden, n_classes, std=1.0 / np.sqrt(n_hidden))
-    return BnnModel(
-        w1_mean, np.full_like(w1_mean, std_init),
-        w2_mean, np.full_like(w2_mean, std_init),
-        np.zeros((1, n_hidden)), np.zeros((1, n_classes)),
-        hidden_act, n_samples,
-    ).check()
+    f = fnn_init(n_features, n_hidden, n_classes, hidden_act, rng)
+    return BnnModel(f.w1, np.full_like(f.w1, std_init), f.w2, np.full_like(f.w2, std_init),
+                    f.b1, f.b2, hidden_act, n_samples).check()
 
 
 def _forward_with_weights(model, x, w1s, w2s, onehot=None):
@@ -113,10 +107,9 @@ def _forward_with_weights(model, x, w1s, w2s, onehot=None):
 def bnn_sample_forward(model, x, rng, onehot=None):
     """One stochastic forward pass: draw eps per weight entry, then run.
 
-    Returns (probs, cache, sampled, loss, dlogits) where sampled is the
-    (w1, w2) pair that was actually used; the draw order is all of eps_1
-    (row-major) followed by all of eps_2.  Without ``onehot`` the loss,
-    dlogits and the cached activation derivative ``cache["dh"]`` are None.
+    Returns (probs, cache, (w1, w2) as sampled, loss, dlogits); all of eps_1
+    (row-major) is drawn before eps_2.  Without ``onehot`` the loss, dlogits
+    and the cached activation derivative ``cache["dh"]`` are None.
     """
     x = _check_input(x, model.w1_mean.shape[0])
     w1s, w2s = _sample_weights(model, rng)
@@ -126,11 +119,9 @@ def bnn_sample_forward(model, x, rng, onehot=None):
 
 def _sample_weights(model, rng):
     """(w1, w2) of one draw, each formed in its eps buffer as mean + std * eps."""
-    w1s = rng.normals(model.w1_mean.size).reshape(model.w1_mean.shape)
-    w1s *= model.w1_std
+    w1s = rng.normal_matrix(*model.w1_mean.shape, std=model.w1_std)
     w1s += model.w1_mean
-    w2s = rng.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
-    w2s *= model.w2_std
+    w2s = rng.normal_matrix(*model.w2_mean.shape, std=model.w2_std)
     w2s += model.w2_mean
     return w1s, w2s
 
@@ -138,50 +129,64 @@ def _sample_weights(model, rng):
 def bnn_predict(model, x, rng):
     """Posterior-averaged class probabilities over model.n_samples draws.
 
-    Each draw runs from its own child stream (seed, sample index), so the
-    average is independent of evaluation order or parallel scheduling: a worker
-    thread samples draw i + 1 while this thread runs draw i, and the sum keeps
-    sample order.  A draw's exception is raised here, after the worker exits.
+    Draw i runs from the child stream rng.spawn(i) and the sum keeps sample
+    order, so the result does not depend on when the worker samples a draw.
     """
-    from concurrent.futures import ThreadPoolExecutor  # lazy: only prediction uses a pool
     x = _check_input(x, model.w1_mean.shape[0])
+    draws = _ahead(lambda i: _sample_weights(model, rng.spawn(i)), range(model.n_samples))
     acc = 0.0
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(_sample_weights, model, rng.spawn(0))
-        for i in range(model.n_samples):
-            w1s, w2s = ahead.result()
-            if i + 1 < model.n_samples:
-                ahead = worker.submit(_sample_weights, model, rng.spawn(i + 1))
-            acc += _forward_with_weights(model, x, w1s, w2s)[0]
+    with closing(draws):  # map holds no draw past its forward: at most two are alive
+        for probs in map(lambda draw: _forward_with_weights(model, x, *draw)[0], draws):
+            acc += probs
     return acc / model.n_samples
+
+
+def _ahead(fn, jobs):
+    """Yield fn(job) for each job in order; a worker thread runs one job ahead.
+
+    The worker stops when the jobs run out, when a job raises (the exception
+    is raised here) and when the generator is closed.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # lazy: only the draw-ahead uses a pool
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = []  # the job running ahead, once there is one
+        for job in jobs:
+            done = [f.result() for f in ahead]  # frees the last result before the next job starts
+            ahead = [worker.submit(fn, job)]
+            yield from done
+        yield from (f.result() for f in ahead)
 
 
 def bnn_train(model, data, cfg, eval_data=None):
     """Per-sample SGD on the weight means; stds are never updated.
 
-    ``cfg.batch_size`` must be 1: weights are redrawn for every sample, and
-    layer-1 noise is sampled in its exact z1 distribution as described in
-    the module docstring.  Without clipping, only the W1 rows of non-zero
-    input features are updated (see the module docstring).  The gradients
-    w.r.t. the means equal those w.r.t. the sampled weights
-    (dW/dW_mean = 1 entrywise), so the feedforward backward pass forms them.
-
-    The posterior-averaged metrics on ``eval_data`` are recorded after the
-    last epoch only.
+    ``cfg.batch_size`` must be 1; the module docstring describes the layer-1
+    shortcut, the sparse step and the noise drawn ahead.  Gradients w.r.t. the
+    means equal those w.r.t. the sampled weights (dW/dW_mean = 1 entrywise), so
+    the feedforward backward pass forms them.  Posterior-averaged metrics on
+    ``eval_data`` are recorded after the last epoch only.
     """
     if cfg.batch_size != 1:
         raise InputError(f"batch_size must be 1, got {cfg.batch_size}")
     rng_noise = noise_stream(cfg.seed)
     w1_var = model.w1_std**2  # stds never change during training
     params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
+    n_hidden, w2_std = model.b1.size, model.w2_std
+
+    def draw(rows):  # on the worker: per row, the layer-1 noise, then eps_2 * w2_std
+        return [(rng_noise.normals(n_hidden), rng_noise.normal_matrix(*w2_std.shape, std=w2_std))
+                for _ in range(rows)]
+
+    total, chunk = cfg.epochs * data.n_samples, max(1, _CHUNK // (n_hidden + w2_std.size))
+    chunks = _ahead(draw, (min(chunk, total - start) for start in range(0, total, chunk)))
+    noise = chain.from_iterable(chunks)  # drops each chunk before asking for the next
 
     def forward(idx):
         xb, yb = data.rows(idx), data.labels_onehot[idx]
+        eps1, w2_noise = next(noise)
         z1 = xb @ model.w1_mean + model.b1
-        z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
-        eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
-        w2s = model.w2_mean + model.w2_std * eps2
-        return _dense_forward(xb, z1, w2s, model.b2, model.hidden_act, yb)
+        z1 += np.sqrt((xb[0] ** 2) @ w1_var) * eps1
+        return _dense_forward(xb, z1, model.w2_mean + w2_noise, model.b2, model.hidden_act, yb)
 
     def update(cache, dlogits):
         if cfg.clip_norm is not None:
@@ -195,11 +200,12 @@ def bnn_train(model, data, cfg, eval_data=None):
             p -= cfg.lr * g
 
     trace = TrainingTrace()
-    for epoch, loss, acc in sgd_epochs(data.labels(), cfg, forward, update):
-        evaluation = None
-        if eval_data is not None and epoch == cfg.epochs - 1:
-            evaluation = bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
-        trace.record(loss, acc, evaluation)
+    with closing(chunks):
+        for epoch, loss, acc in sgd_epochs(data.labels(), cfg, forward, update):
+            evaluation = None
+            if eval_data is not None and epoch == cfg.epochs - 1:
+                evaluation = bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
+            trace.record(loss, acc, evaluation)
     return trace
 
 

@@ -151,6 +151,15 @@ def _read_be32(blob, offset, path):
     return struct.unpack_from(">I", blob, offset)[0]
 
 
+def _header(blob, magic, path, what, count):
+    """The ``count`` header words that follow a file's checked magic word."""
+    found = _read_be32(blob, 0, path)
+    if found != magic:
+        raise FormatError(
+            f"{path}: bad {what} magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
+    return [_read_be32(blob, 4 * k, path) for k in range(1, count + 1)]
+
+
 def load_idx(images_path, labels_path, class_names=None):
     """Load an IDX image/label file pair into a LabeledDataset.
 
@@ -163,26 +172,11 @@ def load_idx(images_path, labels_path, class_names=None):
     img_blob = _read_maybe_gzip(images_path)
     lab_blob = _read_maybe_gzip(labels_path)
 
-    magic = _read_be32(img_blob, 0, images_path)
-    if magic != IMAGE_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad image magic 0x{magic:08x} at byte 0, expected 0x{IMAGE_MAGIC:08x}"
-        )
-    n_images = _read_be32(img_blob, 4, images_path)
-    rows = _read_be32(img_blob, 8, images_path)
-    cols = _read_be32(img_blob, 12, images_path)
+    n_images, rows, cols = _header(img_blob, IMAGE_MAGIC, images_path, "image", 3)
     _check_length(img_blob, 16 + n_images * rows * cols, images_path)
-
-    magic = _read_be32(lab_blob, 0, labels_path)
-    if magic != LABEL_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad label magic 0x{magic:08x} at byte 0, expected 0x{LABEL_MAGIC:08x}"
-        )
-    n_labels = _read_be32(lab_blob, 4, labels_path)
+    (n_labels,) = _header(lab_blob, LABEL_MAGIC, labels_path, "label", 1)
     if n_labels != n_images:
-        raise FormatError(
-            f"count mismatch: {n_images} images vs {n_labels} labels"
-        )
+        raise FormatError(f"count mismatch: {n_images} images vs {n_labels} labels")
     _check_length(lab_blob, 8 + n_labels, labels_path)
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n_images * rows * cols, offset=16)

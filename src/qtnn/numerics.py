@@ -108,22 +108,19 @@ def _first_bad_pivot(a):
 
 
 def _forward_sub(low, b):
-    n = low.shape[0]
+    # the first row's empty product subtracts an exact +0.0, which leaves x[0] as it is
     x = b.copy()
-    for i in range(n):
-        if i:
-            x[i] -= low[i, :i] @ x[:i]
+    for i in range(low.shape[0]):
+        x[i] -= low[i, :i] @ x[:i]
         x[i] /= low[i, i]
     return x
 
 
 def _backward_sub_t(low, b):
-    # solves low.T x = b
-    n = low.shape[0]
+    # solves low.T x = b; the last row's product is empty, as in _forward_sub
     x = b.copy()
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= low[i + 1 :, i] @ x[i + 1 :]
+    for i in range(low.shape[0] - 1, -1, -1):
+        x[i] -= low[i + 1 :, i] @ x[i + 1 :]
         x[i] /= low[i, i]
     return x
 

@@ -157,7 +157,9 @@ def _paint_potential(nx, ny, dx, scenario):
     x = np.arange(nx) * dx
     in_slab = (x >= scenario.barrier_x) & (x < scenario.barrier_x + scenario.thickness)
     if not in_slab.any():
-        raise InputError("barrier slab lies outside the grid")
+        if scenario.barrier_x + scenario.thickness <= x[0] or scenario.barrier_x > x[-1]:
+            raise InputError("barrier slab lies outside the grid")
+        raise InputError("barrier slab is thinner than dx and falls between two grid columns")
     yoff = (np.arange(ny) - (ny - 1) / 2.0) * dx
     if scenario.kind == "barrier":
         open_cols = np.zeros(ny, dtype=bool)

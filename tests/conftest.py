@@ -2,14 +2,19 @@
 
 The oracles here deliberately avoid the code paths they check: IDX files
 are serialized with raw struct packing, linear systems are solved by
-Gaussian elimination with partial pivoting, and gradients are estimated
-with central finite differences.
+Gaussian elimination with partial pivoting, gradients are estimated
+with central finite differences, and the transmission of the wavepacket
+solver's lattice comes from 2x2 transfer matrices.
 
 The two long 400x400 wavepacket trajectories are stepped once per session
 and shared by the tests that read states along them.
+
+Every test runs under a thread-leak guard: it fails if it returns with a
+live thread that it started, such as a Bayesian draw worker left running.
 """
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -73,8 +78,39 @@ def numeric_gradient(loss_fn, params, h=1e-5):
     return grads
 
 
+def lattice_transmission(energy, v0, a, dx):
+    """Exact transmission T(E) of the tight-binding chain the wavepacket solver steps.
+
+    The chain is -(psi[j+1] - 2 psi[j] + psi[j-1]) / (2 dx^2) + V[j] psi[j] =
+    E psi[j] (hbar = m = 1, hopping 1/(2 dx^2)), with V = v0 on the floor(a/dx)
+    sites j = 1..N and 0 elsewhere.  Off the barrier the solutions are plane
+    waves exp(+-i k j dx) with E = (1 - cos(k dx)) / dx^2.  The barrier's
+    transfer matrix M maps (psi[1], psi[0]) to (psi[N+1], psi[N]); in the
+    plane-wave basis B it is K = B^-1 M B, and an incoming wave with no wave
+    coming back from the right transmits amplitude det(K) / K[1, 1], where
+    det(K) = det(M) = 1.
+    """
+    hop = 1.0 / (2.0 * dx * dx)
+    phase = np.exp(1j * np.arccos(1.0 - energy / (2.0 * hop)))  # exp(i k dx)
+    site = np.array([[(2.0 * hop + v0 - energy) / hop, -1.0], [1.0, 0.0]])
+    transfer = np.linalg.matrix_power(site, int(np.floor(a / dx)))
+    basis = np.array([[phase, 1.0 / phase], [1.0, 1.0]])
+    k = np.linalg.solve(basis, transfer @ basis)
+    return 1.0 / abs(k[1, 1]) ** 2
+
+
 def relative_error(a, b, floor=1e-12):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that returns with more live threads than it started with."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"test left {len(left)} thread(s) running: {left}")
 
 
 @pytest.fixture

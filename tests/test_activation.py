@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import lattice_transmission
 from qtnn.activation import (
     Activation,
     BarrierParams,
@@ -56,6 +57,20 @@ class TestTransmissionValues:
         p = BarrierParams(v0=2.0, a=500.0, m=1.0, hbar=1.0)
         assert qt_transmission(1.0, p) == 0.0
         assert qt_transmission_derivative(1.0, p) == 0.0
+
+
+class TestLatticeLimit:
+    """The wavepacket solver's lattice transmits as the continuum barrier as dx -> 0."""
+
+    @pytest.mark.parametrize("energy", [0.5, 1.0, 3.0, 5.0],
+                             ids=["sub-0.5", "sub-1.0", "above-3.0", "above-5.0"])
+    def test_lattice_tends_to_qt_transmission(self, energy):
+        # v0 = 2, a = 1: the barrier covers 10, 20, 40 and 80 sites
+        exact = qt_transmission(energy, UNIT)
+        errors = [abs(lattice_transmission(energy, 2.0, 1.0, dx) - exact)
+                  for dx in (0.1, 0.05, 0.025, 0.0125)]
+        assert all(fine < coarse for coarse, fine in zip(errors, errors[1:])), errors
+        assert errors[-1] < 1e-4, errors
 
 
 class TestTransmissionProperties:

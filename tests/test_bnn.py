@@ -1,9 +1,11 @@
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qtnn.bnn
 from conftest import numeric_gradient
 from qtnn.activation import Activation, activate, softmax_crossentropy
 from qtnn.bnn import (
@@ -16,9 +18,14 @@ from qtnn.bnn import (
 )
 from qtnn.checkpoint import load_bnn, save_bnn
 from qtnn.data import FormatError, LabeledDataset
-from qtnn.fnn import fnn_backward, fnn_forward, fnn_init, fnn_train
+from qtnn.fnn import (
+    _backward_hidden, _dense_forward, _dense_step, fnn_backward, fnn_forward, fnn_init, fnn_train,
+)
 from qtnn.numerics import InputError, Rng, ShapeError
-from qtnn.trainutil import TrainConfig, init_stream, noise_stream, shuffle_stream
+from qtnn.trainutil import (
+    TrainConfig, TrainingDiverged, TrainingTrace, init_stream, noise_stream, sgd_epochs,
+    shuffle_stream,
+)
 from test_fnn import separable_toy_set
 
 
@@ -64,6 +71,49 @@ def dense_batch1_train(model, data, cfg):
             epoch_loss += loss
         losses.append(epoch_loss / data.n_samples)
     return losses
+
+
+def serial_bnn_train(model, data, cfg):
+    """bnn_train with each row's noise drawn inline on the calling thread; returns the trace.
+
+    The forward pass and the step are the ones bnn_train ran before its noise
+    was drawn ahead on a worker: the draw-ahead must reproduce them bit for bit.
+    """
+    rng_noise = noise_stream(cfg.seed)
+    w1_var = model.w1_std**2
+    params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
+
+    def forward(idx):
+        xb, yb = data.rows(idx), data.labels_onehot[idx]
+        z1 = xb @ model.w1_mean + model.b1
+        z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
+        eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
+        w2s = model.w2_mean + model.w2_std * eps2
+        return _dense_forward(xb, z1, w2s, model.b2, model.hidden_act, yb)
+
+    def update(cache, dlogits):
+        if cfg.clip_norm is not None:
+            _dense_step(params, fnn_backward(model, cache, dlogits), cfg)
+            return
+        dhidden, *rest = _backward_hidden(cache, dlogits)
+        x = cache["x"][0]
+        nz = np.flatnonzero(x)
+        model.w1_mean[nz] -= cfg.lr * (x[nz, None] * dhidden)
+        for p, g in zip(params[1:], rest):
+            p -= cfg.lr * g
+
+    trace = TrainingTrace()
+    for _, loss, acc in sgd_epochs(data.labels(), cfg, forward, update):
+        trace.record(loss, acc)
+    return trace
+
+
+def fashion_width_set(n, seed=0):
+    """n rows of 784 uint8 codes, about 19% non-zero as in MNIST-layout images."""
+    rng = np.random.default_rng(seed)
+    codes = (rng.random((n, 784)) < 0.19) * rng.integers(1, 256, (n, 784))
+    onehot = np.eye(10)[rng.integers(0, 10, n)]
+    return LabeledDataset(codes.astype(np.uint8), onehot, [str(k) for k in range(10)], 255.0)
 
 
 class TestSampleForward:
@@ -348,3 +398,128 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="1 trailing bytes"):
             load_bnn(path)
+
+
+class TestTrainingDrawAhead:
+    """bnn_train draws each row's noise a chunk of rows ahead on a worker thread."""
+
+    ROW_DOUBLES = 6 + 6 * 3  # layer-1 noise and eps_2 of one row of the 12-6-3 model
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["1MiB-chunks", "7-row-chunks"])
+    @pytest.mark.parametrize("clip_norm", [None, 0.5], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("std", [0.0, 0.05], ids=["zero-std", "std"])
+    def test_equals_serial_inline_draws(self, monkeypatch, std, clip_norm, chunk_rows):
+        # 7-row chunks over 2 x 30 rows: a chunk straddles the epoch boundary
+        if chunk_rows:
+            monkeypatch.setattr(qtnn.bnn, "_CHUNK", chunk_rows * self.ROW_DOUBLES)
+        data = zero_rich_set()
+        cfg = TrainConfig(lr=0.3, epochs=2, batch_size=1, clip_norm=clip_norm, seed=11)
+        model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=std)
+        ref = model.copy()
+        trace = bnn_train(model, data, cfg)
+        ref_trace = serial_bnn_train(ref, data, cfg)
+        assert trace.train_loss == ref_trace.train_loss
+        assert trace.train_accuracy == ref_trace.train_accuracy
+        for name in ("w1_mean", "b1", "w2_mean", "b2"):
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_bit_equal_under_thread_switch_stress(self, monkeypatch):
+        # four trainings at once, eight threads on fewer cores, switching every microsecond
+        monkeypatch.setattr(qtnn.bnn, "_CHUNK", 7 * self.ROW_DOUBLES)
+        data = zero_rich_set()
+        cfg = TrainConfig(lr=0.3, epochs=2, batch_size=1, clip_norm=None, seed=23)
+        ref = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.05)
+        models = [ref.copy() for _ in range(4)]
+        serial_bnn_train(ref, data, cfg)
+        trainers = [threading.Thread(target=bnn_train, args=(m, data, cfg)) for m in models]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trainer in trainers:
+                trainer.start()
+            for trainer in trainers:
+                trainer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(trainer.is_alive() for trainer in trainers)
+        for model in models:
+            for name in ("w1_mean", "b1", "w2_mean", "b2"):
+                assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_draws_exactly_the_visited_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(qtnn.bnn, "_CHUNK", 7 * self.ROW_DOUBLES)
+        data = zero_rich_set()
+        cfg = TrainConfig(lr=0.3, epochs=3, batch_size=1, clip_norm=None, seed=5)
+        model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.05)
+        noise_seed, sizes, normals = noise_stream(cfg.seed).seed, [], Rng.normals
+
+        def counting(rng, count):
+            if rng.seed == noise_seed:
+                sizes.append(count)
+            return normals(rng, count)
+
+        monkeypatch.setattr(Rng, "normals", counting)
+        bnn_train(model, data, cfg)
+        assert sizes == [6, 18] * (cfg.epochs * data.n_samples)
+
+    def test_no_thread_left_after_return_divergence_or_draw_error(self, monkeypatch):
+        monkeypatch.setattr(qtnn.bnn, "_CHUNK", 7 * self.ROW_DOUBLES)
+        data = zero_rich_set()
+        cfg = TrainConfig(lr=0.3, epochs=2, batch_size=1, clip_norm=None, seed=5)
+        model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.05)
+        threads = threading.active_count()
+        bnn_train(model.copy(), data, cfg)
+        assert threading.active_count() == threads
+
+        forward, rows = qtnn.bnn._dense_forward, []
+
+        def nan_loss_at_row_40(*args, **kwargs):
+            probs, cache, loss, dlogits = forward(*args, **kwargs)
+            rows.append(loss)
+            return probs, cache, (np.nan if len(rows) == 41 else loss), dlogits
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qtnn.bnn, "_dense_forward", nan_loss_at_row_40)
+            with pytest.raises(TrainingDiverged) as diverged:
+                bnn_train(model.copy(), data, cfg)
+        assert (diverged.value.epoch, diverged.value.batch) == (1, 10)
+        assert threading.active_count() == threads
+
+        boom = RuntimeError("draw failed")
+        normals, calls = Rng.normals, []
+
+        def fails_in_third_chunk(rng, count):
+            calls.append(count)
+            if len(calls) == 2 * 14 + 1:  # layer-1 noise of row 14, drawn on the worker
+                raise boom
+            return normals(rng, count)
+
+        monkeypatch.setattr(Rng, "normals", fails_in_third_chunk)
+        with pytest.raises(RuntimeError) as caught:
+            bnn_train(model.copy(), data, cfg)
+        assert caught.value is boom
+        assert len(calls) == 2 * 14 + 1
+        assert threading.active_count() == threads
+
+    def test_noise_in_flight_is_two_chunks_at_most(self):
+        # the chunk in hand and the one drawn ahead; the serial loop holds one row
+        data = fashion_width_set(70)  # chunks of 23, 23, 23 and 1 rows
+        cfg = TrainConfig(lr=0.5, epochs=1, batch_size=1, clip_norm=None, seed=3)
+        row_doubles = 512 + 512 * 10
+        chunk_rows = qtnn.bnn._CHUNK // row_doubles
+        assert chunk_rows == 23
+
+        def traced_peak(train):
+            model = bnn_init(784, 512, 10, Activation.qt(), init_stream(cfg.seed), std_init=0.01)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train(model, data, cfg)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        serial = traced_peak(serial_bnn_train)
+        ahead = traced_peak(bnn_train)
+        assert ahead < serial + 2 * chunk_rows * row_doubles * 8 + 0.25 * 2**20

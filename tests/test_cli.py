@@ -7,6 +7,7 @@ import pytest
 
 from conftest import write_idx_pair
 from qtnn import cli, fnn
+from qtnn.activation import Activation, activate, qt_transmission
 from qtnn.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, canonical_json, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -42,6 +43,58 @@ class TestActivationCommand:
         doc = read_report(rep)
         assert doc["config"]["v0"] == 2.0
         assert doc["metrics"]["t_max"] <= 1.0
+
+
+class TestActivationEdgeGrid:
+    """``qtnn activation`` over a seeded grid of edge inputs, in every barrier mode.
+
+    The command evaluates T(E) and dT/dE on linspace(0, emax, points), so a
+    negative emax is a negative energy once points > 1: an input error
+    (exit 1) with a one-line message.  Every other input exits 0 with finite values and T in
+    [0, 1]; the mode does not enter T(E), so the three files are equal.  The
+    mode's own output range is checked on ``activate`` with the same inputs.
+    """
+
+    V0, AMPL = 3.0, 1.5
+    EDGES = (0.0, 5e-324, 1e-310, 1e300, V0 / AMPL, V0)  # V0 / AMPL = 2.0 exactly
+
+    def grid(self):
+        rng = np.random.default_rng(16)
+        values = [sign * edge for edge in self.EDGES for sign in (1.0, -1.0)]
+        return [values[i] for i in rng.permutation(len(values))]
+
+    @pytest.mark.parametrize("points", [1, 2, 7])
+    def test_cli_exit_code_and_range(self, tmp_path, capsys, points):
+        for value in self.grid():
+            curves = set()
+            for mode in ("rectified", "absolute", "bipolar"):
+                out = tmp_path / f"{mode}.csv"
+                code = main(["activation", f"--emax={value!r}", "--points", str(points),
+                             "--v0", str(self.V0), "--ampl", str(self.AMPL), "--mode", mode,
+                             "--out", str(out)])
+                err = capsys.readouterr().err
+                if value < 0.0 and points > 1:  # one point is E = 0 alone
+                    assert code == EXIT_INPUT, (value, mode)
+                    assert err == "error: energy must be non-negative\n"
+                    continue
+                assert code == EXIT_OK, (value, mode, err)
+                energy, t, dt = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).T
+                assert np.isfinite(t).all() and np.isfinite(dt).all(), (value, mode)
+                assert ((t >= 0.0) & (t <= 1.0)).all(), (value, mode, t)
+                curves.add(out.read_bytes())
+            assert len(curves) == (0 if value < 0.0 and points > 1 else 1), value
+
+    @pytest.mark.parametrize("mode, low", [("rectified", 0.0), ("absolute", 0.0),
+                                           ("bipolar", -1.0)])
+    def test_activate_range_on_the_same_grid(self, mode, low):
+        act = Activation.qt(v0=self.V0, ampl=self.AMPL, mode=mode)
+        x = np.array(self.grid())
+        y, dy = activate(x, act)
+        assert np.isfinite(y).all() and np.isfinite(dy).all()
+        assert ((y >= low) & (y <= 1.0)).all(), y
+        t_top = qt_transmission(self.V0, act.barrier)  # ampl * (v0 / ampl) is v0 exactly
+        top = y[x == self.V0 / self.AMPL]
+        assert top.size == 1 and top[0] == (2.0 * t_top - 1.0 if mode == "bipolar" else t_top)
 
 
 class TestSpectrumCommand:

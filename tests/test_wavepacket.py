@@ -73,6 +73,20 @@ class TestInit:
         with pytest.raises(InputError, match="wall"):
             wp_init(small_scenario(x0=1.0), **SMALL)
 
+    def test_slab_between_two_columns_named_as_such(self):
+        # [3.05, 3.09) lies inside the grid but holds none of its columns 3.0 and 3.1
+        scenario = Scenario(barrier_x=3.05, thickness=0.04, x0=1.5, sigma=0.3)
+        with pytest.raises(InputError, match="^barrier slab is thinner than dx and falls "
+                                             "between two grid columns$"):
+            wp_init(scenario, nx=64, ny=48, dx=0.1)
+
+    @pytest.mark.parametrize("barrier_x", [6.35, 30.0], ids=["past-last-column", "far-right"])
+    def test_slab_outside_the_grid_named_as_such(self, barrier_x):
+        # the last column is x = 6.3 on 64 columns at dx = 0.1
+        scenario = Scenario(barrier_x=barrier_x, thickness=0.5, x0=1.5, sigma=0.3)
+        with pytest.raises(InputError, match="^barrier slab lies outside the grid$"):
+            wp_init(scenario, nx=64, ny=48, dx=0.1)
+
 
 class TestStep:
     def test_free_norm_preserved_tightly(self):
