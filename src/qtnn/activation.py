@@ -217,7 +217,7 @@ def _above_barrier(ea, p, k, grad):
 
 
 def _energy_transmission(energy, params, grad, window):
-    e = np.asarray(energy, dtype=np.float64)
+    e = np.asarray(energy, dtype=np.float64) + 0.0  # -0.0 -> +0.0, all else unchanged
     if not (e >= 0.0).all():
         raise InputError("energy must be non-negative")
     t, dt = _transmission(e.ravel(), params or BarrierParams(), grad, window)

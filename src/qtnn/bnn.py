@@ -3,11 +3,11 @@
 Weights are Gaussian, mean + std * eps per entry with eps drawn standard
 normal at each forward pass.  Prediction averages the softmax outputs of many
 draws; training runs per-sample SGD on the means through the sampled weights
-(stds stay at their initial values).  Both draw their noise ahead on one
-worker thread (``_ahead``): prediction samples draw i + 1, from its own child
-stream, during draw i's forward pass and sums in sample order; training draws
-a chunk of rows' noise (about 1 MiB) ahead, from its one noise stream in the
-order the rows are visited.  No result depends on the thread schedule.
+(stds stay at their initial values).  Both draw their noise ahead on the
+worker of ``trainutil._ahead``: prediction samples draw i + 1, from its own
+child stream, during draw i's forward pass and sums in sample order; training
+draws a chunk of rows' noise (about 1 MiB) ahead, from its one noise stream in
+the order the rows are visited.  No result depends on the thread schedule.
 
 Training runs at batch size one with an exact shortcut for layer 1: its noise
 reaches the forward pass only through z1 = x (W1_mean + W1_std o eps) + b1,
@@ -42,17 +42,10 @@ from .activation import Activation, activate, softmax_crossentropy  # noqa: F401
 from .fnn import _backward_hidden, _check_input, _check_layers, _dense_forward, _dense_step
 from .fnn import fnn_backward, fnn_init
 from .numerics import InputError, ShapeError
-from .trainutil import TrainingTrace, eval_stream, noise_stream, sgd_epochs
+from .trainutil import TrainingTrace, _ahead, eval_stream, noise_stream, sgd_epochs
 from .trainutil import clip_gradients  # noqa: F401
 
-__all__ = [
-    "BnnModel",
-    "bnn_init",
-    "bnn_sample_forward",
-    "bnn_predict",
-    "bnn_train",
-    "bnn_evaluate",
-]
+__all__ = ["BnnModel", "bnn_init", "bnn_sample_forward", "bnn_predict", "bnn_train", "bnn_evaluate"]
 
 EVAL_BATCH = 512  # rows per bnn_evaluate batch; each batch's draws spawn from its start row
 _CHUNK = 131072  # training noise doubles per chunk drawn ahead: 1 MiB, as activation._BLOCK
@@ -139,22 +132,6 @@ def bnn_predict(model, x, rng):
         for probs in map(lambda draw: _forward_with_weights(model, x, *draw)[0], draws):
             acc += probs
     return acc / model.n_samples
-
-
-def _ahead(fn, jobs):
-    """Yield fn(job) for each job in order; a worker thread runs one job ahead.
-
-    The worker stops when the jobs run out, when a job raises (the exception
-    is raised here) and when the generator is closed.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # lazy: only the draw-ahead uses a pool
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = []  # the job running ahead, once there is one
-        for job in jobs:
-            done = [f.result() for f in ahead]  # frees the last result before the next job starts
-            ahead = [worker.submit(fn, job)]
-            yield from done
-        yield from (f.result() for f in ahead)
 
 
 def bnn_train(model, data, cfg, eval_data=None):

@@ -235,7 +235,7 @@ def _trained(trace, save, model, path, **metrics):
 def _cmd_activation(cfg, args):
     """--out is the transmission-curve CSV; --report optionally adds JSON."""
     params = _activation_from(cfg, "qt").barrier
-    energies = np.linspace(0.0, cfg["emax"], cfg["points"])
+    energies = np.linspace(0.0, cfg["emax"], cfg["points"]) + 0.0  # no -0.0 at emax=-0.0
     t = qt_transmission(energies, params)
     dt = qt_transmission_derivative(energies, params)
     out = args.out or "activation_curve.csv"

@@ -6,17 +6,24 @@ cached activation derivative (elementwise product), clips the global
 gradient norm and applies plain SGD.  The sampled-weight BNN (``bnn``)
 runs the same layers above z1, backward pass and clipped step, the RNN the
 same step, and all three trainers run the epoch loop ``trainutil.sgd_epochs``.
+
+``fnn_evaluate`` forms batch k + 1's z1 on the worker of ``trainutil._ahead``
+while the caller activates and scores batch k.  The worker only fills the
+caller's z1 through the matmul and add of ``x @ W1 + b1``, and the batches
+fold in order, so the results are bit-identical to a serial loop.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
 from .activation import Activation, activate, softmax, softmax_crossentropy
 from .numerics import InputError, ShapeError, as_matrix
-from .trainutil import TrainingTrace, clip_gradients, sgd_epochs
+from .trainutil import TrainingTrace, _ahead, clip_gradients, sgd_epochs
 
 __all__ = ["FnnModel", "fnn_init", "fnn_forward", "fnn_backward", "fnn_train", "fnn_evaluate"]
 
@@ -105,19 +112,14 @@ def _dense_step(params, grads, cfg):
         p -= g
 
 
-def _forward(model, x, onehot=None, grad=True):
-    """The forward pass of a float64 matrix ``x`` that is finite and as wide as W1."""
-    z1 = x @ model.w1 + model.b1
-    return _dense_forward(x, z1, model.w2, model.b2, model.hidden_act, onehot, grad)
-
-
 def fnn_forward(model, x, onehot=None):
     """Probabilities plus the cache needed for one backward pass.
 
     With ``onehot`` given, also returns (loss, dlogits) from the softmax
     cross-entropy; otherwise those slots are None.
     """
-    return _forward(model, _check_input(x, model.w1.shape[0]), onehot)
+    x = _check_input(x, model.w1.shape[0])
+    return _dense_forward(x, x @ model.w1 + model.b1, model.w2, model.b2, model.hidden_act, onehot)
 
 
 def fnn_backward(model, cache, dlogits):
@@ -151,16 +153,27 @@ def fnn_evaluate(model, data):
     """(accuracy, mean loss) over a dataset; argmax ties go to the lowest class."""
     # a LabeledDataset's rows are finite by construction: only the width is checked
     _check_width(data.n_features, model.w1.shape[0])
-    n = data.n_samples
+    n, batch, w1, b1 = data.n_samples, EVAL_BATCH, model.w1, model.b1
     if n == 0:
         raise InputError("dataset is empty")
-    correct = 0
-    total_loss = 0.0
-    for start in range(0, n, EVAL_BATCH):
-        xb = data.rows(slice(start, start + EVAL_BATCH))
-        yb = data.labels_onehot[start : start + EVAL_BATCH]
-        # values only: the hidden-unit derivatives of fnn_forward go unused here
-        probs, _, loss, _ = _forward(model, xb, yb, grad=False)
-        correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-        total_loss += loss * xb.shape[0]
+
+    def first_layer(job):  # on the worker: fills in the z1 that the caller allocated
+        x, z1, onehot = job
+        np.matmul(x, w1, out=z1)
+        z1 += b1
+        return z1, onehot  # the rows are not needed past z1
+
+    def score(z1, onehot):  # values only: the hidden-unit derivatives go unused here
+        probs, _, loss, _ = _dense_forward(None, z1, model.w2, model.b2, model.hidden_act, onehot,
+                                           grad=False)
+        return int((probs.argmax(axis=1) == onehot.argmax(axis=1)).sum()), loss * z1.shape[0]
+
+    # (rows, z1, labels) per batch, made here as _ahead asks; starmap keeps no batch it scored
+    jobs = ((data.rows(slice(s, s + batch)), np.empty((min(batch, n - s), b1.size)),
+             data.labels_onehot[s : s + batch]) for s in range(0, n, batch))
+    correct, total_loss = 0, 0.0
+    with closing(_ahead(first_layer, jobs)) as layers:
+        for right, loss in starmap(score, layers):
+            correct += right
+            total_loss += loss
     return correct / n, total_loss / n

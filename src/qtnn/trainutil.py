@@ -1,5 +1,5 @@
-"""Shared training plumbing: configs, traces, clipping, divergence errors
-and the shuffled SGD epoch loop that the FNN, BNN and RNN trainers run.
+"""Shared training plumbing: configs, traces, clipping, divergence errors,
+the SGD epoch loop of the three trainers and a one-job-ahead worker thread.
 
 All trainers derive their random streams from ``Rng(cfg.seed)`` the same
 way — substream 0 initializes weights, substream 1 drives shuffling,
@@ -18,17 +18,8 @@ import numpy as np
 
 from .numerics import InputError, Rng
 
-__all__ = [
-    "TrainConfig",
-    "TrainingTrace",
-    "TrainingDiverged",
-    "clip_gradients",
-    "init_stream",
-    "shuffle_stream",
-    "noise_stream",
-    "eval_stream",
-    "sgd_epochs",
-]
+__all__ = ["TrainConfig", "TrainingTrace", "TrainingDiverged", "clip_gradients", "init_stream",
+           "shuffle_stream", "noise_stream", "eval_stream", "sgd_epochs"]
 
 
 def init_stream(seed):
@@ -123,6 +114,23 @@ def clip_gradients(grads, clip_norm):
         for g in grads:
             g *= scale
     return norm
+
+
+def _ahead(fn, jobs):
+    """Yield fn(job) for each job in order; a worker thread runs one job ahead.
+
+    ``jobs`` is iterated on the caller's thread.  The worker stops when the jobs
+    run out, when a job raises (the exception is raised here) and on close().
+    """
+    from concurrent.futures import ThreadPoolExecutor  # lazy: runs with no worker skip it
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = []  # the job running ahead, once there is one
+        for job in jobs:
+            done = [f.result() for f in ahead]  # the job ahead ends before the next one starts
+            ahead = [worker.submit(fn, job)]
+            while done:  # keeps no result past its yield: none is alive when the next job is made
+                yield done.pop()
+        yield from (f.result() for f in ahead)
 
 
 def sgd_epochs(labels, cfg, forward, update):

@@ -48,6 +48,14 @@ class TestTransmissionValues:
         with pytest.raises(InputError):
             qt_transmission(-0.1, UNIT)
 
+    def test_negative_zero_energy_reads_as_positive_zero(self):
+        # -0.0 passes the E >= 0 check; neither T nor dT/dE may come back as -0.0
+        for fn in (qt_transmission, qt_transmission_derivative):
+            assert fn(-0.0, UNIT).hex() == fn(0.0, UNIT).hex()
+            minus, plus = fn(np.array([-0.0, 1.0, -0.0]), UNIT), fn(np.array([0.0, 1.0, 0.0]), UNIT)
+            assert minus.tobytes() == plus.tobytes()
+        assert qt_transmission(-0.0, UNIT).hex() == "0x0.0p+0"
+
     def test_nan_energy_rejected(self):
         for fn in (qt_transmission, qt_transmission_derivative):
             with pytest.raises(InputError):

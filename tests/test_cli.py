@@ -35,6 +35,14 @@ class TestActivationCommand:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == 10.0 and 0.0 <= last[1] <= 1.0
 
+    def test_negative_zero_emax_writes_positive_zeros(self, tmp_path):
+        minus, plus = tmp_path / "minus.csv", tmp_path / "plus.csv"
+        for emax, out in (("-0.0", minus), ("0.0", plus)):
+            code = main(["activation", f"--emax={emax}", "--points", "2", "--out", str(out)])
+            assert code == EXIT_OK
+        assert minus.read_bytes() == plus.read_bytes()
+        assert minus.read_text().splitlines()[1:] == ["0,0,0.15204365967614222"] * 2
+
     def test_optional_report(self, tmp_path):
         out = tmp_path / "curve.csv"
         rep = tmp_path / "report.json"

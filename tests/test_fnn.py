@@ -1,17 +1,21 @@
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import qtnn.fnn
 from conftest import numeric_gradient
 from qtnn.activation import Activation
 from qtnn.bnn import bnn_init, bnn_train
 from qtnn.checkpoint import load_fnn, save_fnn
 from qtnn.data import FormatError, LabeledDataset, SentimentCorpus
 from qtnn.fnn import _dense_step, fnn_backward, fnn_evaluate, fnn_forward, fnn_init, fnn_train
-from qtnn.numerics import Rng, ShapeError
+from qtnn.numerics import InputError, Rng, ShapeError
 from qtnn.rnn import rnn_init, rnn_train
-from qtnn.trainutil import TrainConfig, clip_gradients, init_stream
+from qtnn.trainutil import TrainConfig, _ahead, clip_gradients, init_stream
 
 ALL_KINDS = [
     Activation.qt(),
@@ -325,6 +329,168 @@ class TestEvaluate:
             acc, loss = fnn_evaluate(model, data)
             assert acc.hex() == (correct / n).hex()
             assert loss.hex() == (total / n).hex()
+
+
+def image_like_set(n, seed=0, features=20, classes=10):
+    """uint8 codes scaled by 255, as IDX images are: ``rows`` divides on read."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 256, (n, features), dtype=np.uint8)
+    return LabeledDataset(codes, np.eye(classes)[rng.integers(0, classes, n)],
+                          [str(i) for i in range(classes)], scale=255.0)
+
+
+def serial_evaluate(model, data, batch):
+    """(accuracy, mean loss) from fnn_forward on each batch, folded in order."""
+    n, correct, total = data.n_samples, 0, 0.0
+    for start in range(0, n, batch):
+        yb = data.labels_onehot[start : start + batch]
+        probs, _, loss, _ = fnn_forward(model, data.rows(slice(start, start + batch)), yb)
+        correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
+        total += loss * yb.shape[0]
+    return correct / n, total / n
+
+
+class TestPipelinedEvaluate:
+    """fnn_evaluate forms the next batch's z1 on a worker while the caller scores this one."""
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 35])
+    @pytest.mark.parametrize("act", [Activation.qt(), Activation.relu()], ids=["qt", "relu"])
+    def test_bit_equal_to_serial_batches(self, monkeypatch, n, act):
+        monkeypatch.setattr(qtnn.fnn, "EVAL_BATCH", 16)
+        data = image_like_set(n, seed=n)
+        model = fnn_init(20, 24, 10, act, init_stream(n))
+        assert fnn_evaluate(model, data) == serial_evaluate(model, data, 16)
+
+    def test_bit_equal_at_the_default_batch(self):
+        assert qtnn.fnn.EVAL_BATCH == 1024
+        data = image_like_set(2 * 1024 + 3, seed=3)
+        model = fnn_init(20, 32, 10, Activation.qt(), init_stream(3))
+        assert fnn_evaluate(model, data) == serial_evaluate(model, data, 1024)
+
+    def test_bit_equal_under_thread_switch_stress(self, monkeypatch):
+        # four evaluations at once, eight threads on fewer cores, switching every microsecond
+        monkeypatch.setattr(qtnn.fnn, "EVAL_BATCH", 16)
+        data = image_like_set(35, seed=9)
+        model = fnn_init(20, 24, 10, Activation.qt(), init_stream(9))
+        expected = serial_evaluate(model, data, 16)
+        results = []
+
+        def evaluate():
+            for _ in range(5):
+                results.append(fnn_evaluate(model, data))
+
+        evaluators = [threading.Thread(target=evaluate) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for evaluator in evaluators:
+                evaluator.start()
+            for evaluator in evaluators:
+                evaluator.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(evaluator.is_alive() for evaluator in evaluators)
+        assert results == [expected] * 20
+
+    def test_only_the_first_layer_leaves_the_caller(self, monkeypatch):
+        # perfbench traces activate and softmax_crossentropy: their spans stay on one thread
+        monkeypatch.setattr(qtnn.fnn, "EVAL_BATCH", 16)
+        calls = {"activate": [], "softmax_crossentropy": [], "first_layer": []}
+
+        def on_thread(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("activate", "softmax_crossentropy"):
+            monkeypatch.setattr(qtnn.fnn, name, on_thread(name, getattr(qtnn.fnn, name)))
+        monkeypatch.setattr(qtnn.fnn, "_ahead",
+                            lambda fn, jobs: _ahead(on_thread("first_layer", fn), jobs))
+        calls["rows"] = []  # the batches are scaled on the caller
+        monkeypatch.setattr(LabeledDataset, "rows", on_thread("rows", LabeledDataset.rows))
+        model = fnn_init(20, 24, 10, Activation.qt(), init_stream(1))
+        fnn_evaluate(model, image_like_set(35))
+        caller = threading.current_thread()
+        assert calls["activate"] == calls["softmax_crossentropy"] == calls["rows"] == [caller] * 3
+        assert len(calls["first_layer"]) == 3 and caller not in calls["first_layer"]
+
+    def test_nan_weight_raises_and_stops_the_worker(self, monkeypatch):
+        # batch 1's z1 is in flight when batch 0's activation raises
+        monkeypatch.setattr(qtnn.fnn, "EVAL_BATCH", 16)
+        model = fnn_init(20, 24, 10, Activation.qt(), init_stream(2))
+        model.w1[:, 5] = np.nan
+        threads = threading.active_count()
+        with pytest.raises(InputError, match="NaN"):
+            fnn_evaluate(model, image_like_set(35))
+        assert threading.active_count() == threads
+
+
+class TestAhead:
+    """trainutil._ahead: fn(job) in job order, one job ahead on one worker thread."""
+
+    def test_results_in_order_with_one_job_ahead(self):
+        pulled = []
+
+        def jobs():
+            for job in range(6):
+                pulled.append(job)
+                yield job
+
+        for i, result in enumerate(_ahead(lambda job: job * job, jobs())):
+            assert result == i * i
+            assert len(pulled) <= i + 2
+        assert list(_ahead(abs, iter(()))) == []
+
+    def test_job_error_is_raised_on_the_caller(self):
+        boom = RuntimeError("job failed")
+
+        def fail_at_two(job):
+            if job == 2:
+                raise boom
+            return job
+
+        threads, seen = threading.active_count(), []
+        with pytest.raises(RuntimeError) as caught:
+            for result in _ahead(fail_at_two, range(5)):
+                seen.append(result)
+        assert caught.value is boom and seen == [0, 1]
+        assert threading.active_count() == threads
+
+    def test_no_result_is_kept_past_its_yield(self):
+        # fnn_evaluate allocates each batch as its job is made: by the time job
+        # k + 2 is made, result k (which the consumer dropped) must be freed
+        class Result:
+            pass
+
+        refs = []
+
+        def make(job):
+            result = Result()
+            refs.append(weakref.ref(result))
+            return result
+
+        def jobs():
+            for job in range(5):
+                assert all(ref() is None for ref in refs[: max(0, job - 1)]), job
+                yield job
+
+        assert len(list(map(id, _ahead(make, jobs())))) == 5
+
+    def test_close_stops_the_worker_and_the_jobs(self):
+        pulled = []
+
+        def jobs():
+            for job in range(100):
+                pulled.append(job)
+                yield job
+
+        threads = threading.active_count()
+        results = _ahead(lambda job: job, jobs())
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == threads
+        assert pulled == [0, 1]
 
 
 class TestCheckpoint:
