@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .numerics import InputError, ShapeError, dft_magnitude
+from .numerics import InputError, NonFiniteInput, ShapeError, dft_magnitude
 
 __all__ = [
     "BarrierParams",
@@ -267,7 +267,7 @@ def activate(x, act, grad=True):
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise InputError("activation input contains NaN or Inf")
+        raise NonFiniteInput("activation input contains NaN or Inf")
     if act.kind == "qt":
         return _qt_activate(x, act.barrier, grad)
     if act.kind == "relu":

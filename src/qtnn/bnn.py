@@ -72,13 +72,6 @@ class BnnModel:
             raise InputError("n_samples must be >= 1")
         return self
 
-    def copy(self):
-        return BnnModel(
-            self.w1_mean.copy(), self.w1_std.copy(),
-            self.w2_mean.copy(), self.w2_std.copy(),
-            self.b1.copy(), self.b2.copy(), self.hidden_act, self.n_samples,
-        )
-
 
 def bnn_init(n_features, n_hidden, n_classes, hidden_act, rng, std_init=0.01, n_samples=50):
     """The feedforward init's weights and biases as means, stds constant at ``std_init``.
@@ -176,12 +169,13 @@ def bnn_train(model, data, cfg, eval_data=None):
         for p, g in zip(params[1:], rest):
             p -= cfg.lr * g
 
+    def score(epoch):
+        if eval_data is not None and epoch == cfg.epochs - 1:
+            return bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
+
     trace = TrainingTrace()
     with closing(chunks):
-        for epoch, loss, acc in sgd_epochs(data.labels(), cfg, forward, update):
-            evaluation = None
-            if eval_data is not None and epoch == cfg.epochs - 1:
-                evaluation = bnn_evaluate(model, eval_data, eval_stream(cfg.seed).spawn(epoch))
+        for _, loss, acc, evaluation in sgd_epochs(data.labels(), cfg, forward, update, score):
             trace.record(loss, acc, evaluation)
     return trace
 

@@ -14,7 +14,7 @@ Every subcommand accepts ``--config FILE`` with a JSON object of the same
 keys as its flags; explicit flags override the file.  The merged values are
 checked against the subcommand's option table before anything runs.  Reports
 are written as canonical JSON (sorted keys, floats at 17 significant digits)
-so two runs with one seed differ at most in the wall-clock field.  Exit
+so two runs of one command line differ at most in the wall-clock field.  Exit
 codes: 0 success, 1 input error, 2 numerical failure.
 """
 
@@ -136,18 +136,18 @@ STR = _Kind(str, "a string")
 BOOL = _Kind(bool, "true or false")
 
 _ACTIVATIONS = ("qt", "relu", "sigmoid", "tanh", "identity")
+_BARRIER = (  # the qt barrier's physical constants
+    ("v0", FLOAT, 2.0, "barrier height"),
+    ("a", FLOAT, 1.0, "barrier width"),
+    ("m", FLOAT, 1.0, "particle mass"),
+    ("hbar", FLOAT, 1.0, "reduced Planck constant"),
+)
 
 
 def _barrier(ampl=1.0, mode="rectified"):
-    """The qt barrier rows shared by every activation-driven command."""
-    return (
-        ("v0", FLOAT, 2.0, "barrier height"),
-        ("a", FLOAT, 1.0, "barrier width"),
-        ("m", FLOAT, 1.0, "particle mass"),
-        ("hbar", FLOAT, 1.0, "reduced Planck constant"),
-        ("ampl", FLOAT, ampl, "input-to-energy scale"),
-        ("mode", MODES, mode, "input mapping for qt"),
-    )
+    """The barrier rows plus the input-to-energy map of every command that runs activate."""
+    return (*_BARRIER, ("ampl", FLOAT, ampl, "input-to-energy scale"),
+            ("mode", MODES, mode, "input mapping for qt"))
 
 
 def _check(key, kind, default, value):
@@ -227,14 +227,14 @@ def _trained(trace, save, model, path, **metrics):
 
 # ---------------------------------------------------------------------------
 # subcommands: each maps (checked config, flags) to (report path, {"metrics",
-# "artifacts"[, "per_epoch"]}); main() adds the command, config and seed.  A
+# "artifacts"[, "per_epoch"]}); main() adds the command, the config and any seed.  A
 # null default the command resolves (rnn corpus, wavepacket v0) is written
 # back into cfg so the report records the value used.
 # ---------------------------------------------------------------------------
 
 def _cmd_activation(cfg, args):
-    """--out is the transmission-curve CSV; --report optionally adds JSON."""
-    params = _activation_from(cfg, "qt").barrier
+    """--out is the T(E), dT/dE curve as CSV; --report optionally adds JSON."""
+    params = BarrierParams(**{key: cfg[key] for key, *_ in _BARRIER})
     energies = np.linspace(0.0, cfg["emax"], cfg["points"]) + 0.0  # no -0.0 at emax=-0.0
     t = qt_transmission(energies, params)
     dt = qt_transmission_derivative(energies, params)
@@ -375,8 +375,7 @@ _COMMANDS = {
     "activation": (_cmd_activation, "export a T(E) curve as CSV", (
         ("emax", FLOAT, 10.0, "upper energy bound"),
         ("points", COUNT, 1000, "number of samples"),
-        ("seed", INT, 0, "generator seed"),
-        *_barrier(),
+        *_BARRIER,
     )),
     "spectrum": (_cmd_spectrum, "harmonic spectrum of an activated sinusoid", (
         ("fn", _ACTIVATIONS, "qt", "activation to analyze"),
@@ -385,7 +384,6 @@ _COMMANDS = {
         ("n", COUNT, 1024, "sample count, power of two"),
         ("threshold_db", FLOAT, -70.0, "detection threshold dB relative to the main peak"),
         ("csv", STR, None, "also export the full spectrum as CSV"),
-        ("seed", INT, 0, "generator seed"),
         *_barrier(),
     )),
     "train fnn": (_cmd_train_fnn, "feedforward classifier", (
@@ -463,7 +461,6 @@ _COMMANDS = {
         ("y0", FLOAT, None, "packet centre y (null: domain centreline)"),
         ("sigma", FLOAT, 2.0, "packet width"),
         ("k0x", FLOAT, 5.0, "packet wavenumber"),
-        ("seed", INT, 0, "generator seed"),
     )),
 }
 
@@ -502,8 +499,10 @@ def main(argv=None):
     try:
         cfg = _merge_config(args.rows, args)
         report_path, body = args.func(cfg, args)
-        report = {"command": ["qtnn", *argv], "config": cfg, "seed": cfg["seed"], **body,
+        report = {"command": ["qtnn", *argv], "config": cfg, **body,
                   "wall_clock_sec": time.perf_counter() - started}
+        if "seed" in cfg:  # only the commands that draw random numbers have one
+            report["seed"] = cfg["seed"]
         if report_path:
             write_report(report, report_path)
     except (InputError, FormatError, ShapeError, FileNotFoundError, NotADirectoryError) as err:

@@ -42,11 +42,6 @@ class FnnModel:
         _check_layers(self.w1, self.b1, self.w2, self.b2)
         return self
 
-    def copy(self):
-        return FnnModel(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.hidden_act
-        )
-
 
 def _check_layers(w1, b1, w2, b2):
     """Raise ShapeError unless the two dense layers and their biases conform."""
@@ -140,12 +135,13 @@ def fnn_train(model, data, cfg, eval_data=None):
     """
     params = (model.w1, model.b1, model.w2, model.b2)
     trace = TrainingTrace()
-    for _, loss, acc in sgd_epochs(
+    for _, loss, acc, evaluation in sgd_epochs(
         data.labels(), cfg,
         lambda idx: fnn_forward(model, data.rows(idx), data.labels_onehot[idx]),
         lambda cache, dlogits: _dense_step(params, fnn_backward(model, cache, dlogits), cfg),
+        lambda epoch: None if eval_data is None else fnn_evaluate(model, eval_data),
     ):
-        trace.record(loss, acc, None if eval_data is None else fnn_evaluate(model, eval_data))
+        trace.record(loss, acc, evaluation)
     return trace
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "InputError",
+    "NonFiniteInput",
     "NumericalFailure",
     "as_matrix",
     "cholesky",
@@ -43,6 +44,10 @@ class SingularMatrixError(ArithmeticError):
 
 class InputError(ValueError):
     """Invalid argument value (bad sizes, non-power-of-two lengths, ...)."""
+
+
+class NonFiniteInput(InputError):
+    """An activation input holds NaN or Inf; in training, the weights overflowed."""
 
 
 class NumericalFailure(ArithmeticError):

@@ -61,12 +61,6 @@ class RnnModel:
                 raise ShapeError(f"{name} is {getattr(self, name).shape}, expected {shape}")
         return self
 
-    def copy(self):
-        return RnnModel(
-            self.embed.copy(), self.wx.copy(), self.wh.copy(), self.bh.copy(),
-            self.wy.copy(), self.by.copy(), self.hidden_act,
-        )
-
 
 def rnn_init(vocab_size, n_hidden, n_classes, hidden_act, rng, n_embed=16):
     """Fan-in scaled normal init of an ``n_embed``-wide embedding and the layers."""
@@ -185,12 +179,13 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
     def update(cache, dlogits):
         _dense_step(params, _backward(model, *cache, dlogits[0]), cfg)
 
+    def score(epoch):  # the train split re-scored, then the test split if it has phrases
+        return _score(model, *train), _score(model, *test) if len(test_set.phrases) else None
+
     trace = TrainingTrace()
-    for _ in sgd_epochs(labels, cfg, forward, update):
-        train_acc, train_loss = _score(model, *train)
-        test_score = _score(model, *test) if len(test_set.phrases) else None
-        trace.record(train_loss, train_acc, test_score)
-        if stop_train_loss is not None and train_acc == 1.0 and train_loss < stop_train_loss:
+    for *_, ((acc, loss), test_score) in sgd_epochs(labels, cfg, forward, update, score):
+        trace.record(loss, acc, test_score)
+        if stop_train_loss is not None and acc == 1.0 and loss < stop_train_loss:
             break
     return trace, train_set, test_set
 

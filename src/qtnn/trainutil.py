@@ -12,11 +12,12 @@ bit-for-bit under one seed.
 from __future__ import annotations
 
 import json
+from contextvars import copy_context
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .numerics import InputError, Rng
+from .numerics import InputError, NonFiniteInput, Rng
 
 __all__ = ["TrainConfig", "TrainingTrace", "TrainingDiverged", "clip_gradients", "init_stream",
            "shuffle_stream", "noise_stream", "eval_stream", "sgd_epochs"]
@@ -56,12 +57,13 @@ class TrainConfig:
 
 
 class TrainingDiverged(ArithmeticError):
-    """Loss became NaN; reports where training stopped."""
+    """Loss or activation input went non-finite; reports where (batch None: scoring)."""
 
-    def __init__(self, epoch, batch):
+    def __init__(self, epoch, batch, what="loss is NaN"):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"loss is NaN at epoch {epoch}, batch {batch}")
+        where = "scoring" if batch is None else f"batch {batch}"
+        super().__init__(f"{what} at epoch {epoch}, {where}")
 
 
 @dataclass
@@ -127,20 +129,22 @@ def _ahead(fn, jobs):
         ahead = []  # the job running ahead, once there is one
         for job in jobs:
             done = [f.result() for f in ahead]  # the job ahead ends before the next one starts
-            ahead = [worker.submit(fn, job)]
+            ahead = [worker.submit(copy_context().run, fn, job)]  # under the caller's errstate
             while done:  # keeps no result past its yield: none is alive when the next job is made
                 yield done.pop()
         yield from (f.result() for f in ahead)
 
 
-def sgd_epochs(labels, cfg, forward, update):
-    """Shuffled mini-batch SGD; yields (epoch, mean loss, accuracy) after each epoch.
+def sgd_epochs(labels, cfg, forward, update, score=lambda epoch: None):
+    """Shuffled mini-batch SGD; yields (epoch, mean loss, accuracy, score(epoch)) per epoch.
 
     ``forward(idx)`` returns (probs, cache, loss, dlogits) for the sample
-    indices ``idx`` and ``update(cache, dlogits)`` applies their step.  A NaN
-    loss raises TrainingDiverged before the step, with the weights as that
-    batch found them.  Loss and accuracy are running means over the epoch's
-    batches; a sample counts as correct when ``probs.argmax(1)`` is its label.
+    indices ``idx``, ``update(cache, dlogits)`` applies their step and ``score``
+    rates the epoch's weights.  A NaN loss raises TrainingDiverged before the
+    step, with the weights as that batch found them; so does, with numpy's
+    warnings silenced, a non-finite activation input in either pass (the data
+    are finite: the weights overflowed).  Loss and accuracy are running means
+    over the epoch's batches; a sample is correct when ``probs.argmax(1)`` is its label.
     """
     n = len(labels)
     if n == 0:
@@ -148,14 +152,19 @@ def sgd_epochs(labels, cfg, forward, update):
     rng_shuffle = shuffle_stream(cfg.seed)
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            probs, cache, loss, dlogits = forward(idx)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, start // cfg.batch_size)
-            update(cache, dlogits)
-            epoch_loss += loss * len(idx)
-            epoch_correct += int((probs.argmax(axis=1) == labels[idx]).sum())
-        yield epoch, epoch_loss / n, epoch_correct / n
+        epoch_loss, epoch_correct = 0.0, 0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a check here
+                for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                    idx = order[start : start + cfg.batch_size]
+                    probs, cache, loss, dlogits = forward(idx)
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(epoch, batch)
+                    update(cache, dlogits)
+                    epoch_loss += loss * len(idx)
+                    epoch_correct += int((probs.argmax(axis=1) == labels[idx]).sum())
+                batch = None
+                evaluation = score(epoch)
+        except NonFiniteInput:
+            raise TrainingDiverged(epoch, batch, "activation input is not finite") from None
+        yield epoch, epoch_loss / n, epoch_correct / n, evaluation

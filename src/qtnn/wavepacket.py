@@ -186,6 +186,8 @@ def wp_init(scenario, nx=400, ny=400, dx=0.1, dt=0.005):
     """
     if nx < 16 or ny < 16:
         raise InputError("grid must be at least 16x16")
+    if not dx > 0.0:
+        raise InputError(f"dx must be positive, got {dx}")
     width_x = (nx - 1) * dx
     width_y = (ny - 1) * dx
     y_center = width_y / 2.0

@@ -166,8 +166,8 @@ class Trajectory:
 
 @pytest.fixture(scope="session")
 def barrier_run():
-    """Scenario() on the default grid, to 600 steps (c10 and the four phases)."""
-    return Trajectory(Scenario(), {100, 150, 300, 450, 500, 600})
+    """Scenario() on the default grid, to 800 steps (c10, the four phases, the lattice oracle)."""
+    return Trajectory(Scenario(), {100, 150, 300, 450, 500, 600, 800})
 
 
 @pytest.fixture(scope="session")

@@ -339,8 +339,8 @@ def test_c11_cli_determinism(tmp_path, monkeypatch, synthetic_image_data):
     rep = tmp_path / "report.json"
     commands = {
         "activation": ["activation", "--out", str(tmp_path / "c.csv"),
-                       "--report", str(rep), "--seed", "1"],
-        "spectrum": ["spectrum", "--fn", "qt", "--out", str(rep), "--seed", "1"],
+                       "--report", str(rep)],
+        "spectrum": ["spectrum", "--fn", "qt", "--out", str(rep)],
         "train fnn": ["train", "fnn", "--hidden", "8", "--epochs", "2",
                       "--batch", "16", "--seed", "3", "--out", str(rep)],
         "train rnn": ["train", "rnn", "--hidden", "8", "--epochs", "2",

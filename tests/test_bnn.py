@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 import tracemalloc
@@ -103,7 +104,7 @@ def serial_bnn_train(model, data, cfg):
             p -= cfg.lr * g
 
     trace = TrainingTrace()
-    for _, loss, acc in sgd_epochs(data.labels(), cfg, forward, update):
+    for _, loss, acc, _ in sgd_epochs(data.labels(), cfg, forward, update):
         trace.record(loss, acc)
     return trace
 
@@ -276,7 +277,7 @@ class TestTraining:
     def test_zero_lr_means_unchanged(self):
         data = separable_toy_set()
         model = bnn_init(2, 4, 2, Activation.relu(), init_stream(0), std_init=0.1)
-        before = model.copy()
+        before = copy.deepcopy(model)
         bnn_train(model, data, TrainConfig(lr=0.0, epochs=2, batch_size=1, seed=0))
         assert np.array_equal(model.w1_mean, before.w1_mean)
         assert np.array_equal(model.w1_std, before.w1_std)
@@ -373,7 +374,7 @@ class TestSparseStepOracle:
         assert not data.inputs[-1].any()
         cfg = TrainConfig(lr=0.3, epochs=3, batch_size=1, clip_norm=None, seed=29)
         model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=std)
-        ref = model.copy()
+        ref = copy.deepcopy(model)
         trace = bnn_train(model, data, cfg)
         ref_losses = dense_batch1_train(ref, data, cfg)
         for name in ("w1_mean", "b1", "w2_mean", "b2"):
@@ -415,7 +416,7 @@ class TestTrainingDrawAhead:
         data = zero_rich_set()
         cfg = TrainConfig(lr=0.3, epochs=2, batch_size=1, clip_norm=clip_norm, seed=11)
         model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=std)
-        ref = model.copy()
+        ref = copy.deepcopy(model)
         trace = bnn_train(model, data, cfg)
         ref_trace = serial_bnn_train(ref, data, cfg)
         assert trace.train_loss == ref_trace.train_loss
@@ -429,7 +430,7 @@ class TestTrainingDrawAhead:
         data = zero_rich_set()
         cfg = TrainConfig(lr=0.3, epochs=2, batch_size=1, clip_norm=None, seed=23)
         ref = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.05)
-        models = [ref.copy() for _ in range(4)]
+        models = [copy.deepcopy(ref) for _ in range(4)]
         serial_bnn_train(ref, data, cfg)
         trainers = [threading.Thread(target=bnn_train, args=(m, data, cfg)) for m in models]
         interval = sys.getswitchinterval()
@@ -468,7 +469,7 @@ class TestTrainingDrawAhead:
         cfg = TrainConfig(lr=0.3, epochs=2, batch_size=1, clip_norm=None, seed=5)
         model = bnn_init(12, 6, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.05)
         threads = threading.active_count()
-        bnn_train(model.copy(), data, cfg)
+        bnn_train(copy.deepcopy(model), data, cfg)
         assert threading.active_count() == threads
 
         forward, rows = qtnn.bnn._dense_forward, []
@@ -481,7 +482,7 @@ class TestTrainingDrawAhead:
         with monkeypatch.context() as patch:
             patch.setattr(qtnn.bnn, "_dense_forward", nan_loss_at_row_40)
             with pytest.raises(TrainingDiverged) as diverged:
-                bnn_train(model.copy(), data, cfg)
+                bnn_train(copy.deepcopy(model), data, cfg)
         assert (diverged.value.epoch, diverged.value.batch) == (1, 10)
         assert threading.active_count() == threads
 
@@ -496,7 +497,7 @@ class TestTrainingDrawAhead:
 
         monkeypatch.setattr(Rng, "normals", fails_in_third_chunk)
         with pytest.raises(RuntimeError) as caught:
-            bnn_train(model.copy(), data, cfg)
+            bnn_train(copy.deepcopy(model), data, cfg)
         assert caught.value is boom
         assert len(calls) == 2 * 14 + 1
         assert threading.active_count() == threads

@@ -54,13 +54,13 @@ class TestActivationCommand:
 
 
 class TestActivationEdgeGrid:
-    """``qtnn activation`` over a seeded grid of edge inputs, in every barrier mode.
+    """``qtnn activation`` over a seeded grid of edge inputs.
 
     The command evaluates T(E) and dT/dE on linspace(0, emax, points), so a
     negative emax is a negative energy once points > 1: an input error
-    (exit 1) with a one-line message.  Every other input exits 0 with finite values and T in
-    [0, 1]; the mode does not enter T(E), so the three files are equal.  The
-    mode's own output range is checked on ``activate`` with the same inputs.
+    (exit 1) with a one-line message.  Every other input exits 0 with finite
+    values and T in [0, 1].  The command takes no input mapping, so each
+    mode's output range is checked on ``activate`` with the same inputs.
     """
 
     V0, AMPL = 3.0, 1.5
@@ -73,24 +73,19 @@ class TestActivationEdgeGrid:
 
     @pytest.mark.parametrize("points", [1, 2, 7])
     def test_cli_exit_code_and_range(self, tmp_path, capsys, points):
+        out = tmp_path / "curve.csv"
         for value in self.grid():
-            curves = set()
-            for mode in ("rectified", "absolute", "bipolar"):
-                out = tmp_path / f"{mode}.csv"
-                code = main(["activation", f"--emax={value!r}", "--points", str(points),
-                             "--v0", str(self.V0), "--ampl", str(self.AMPL), "--mode", mode,
-                             "--out", str(out)])
-                err = capsys.readouterr().err
-                if value < 0.0 and points > 1:  # one point is E = 0 alone
-                    assert code == EXIT_INPUT, (value, mode)
-                    assert err == "error: energy must be non-negative\n"
-                    continue
-                assert code == EXIT_OK, (value, mode, err)
-                energy, t, dt = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).T
-                assert np.isfinite(t).all() and np.isfinite(dt).all(), (value, mode)
-                assert ((t >= 0.0) & (t <= 1.0)).all(), (value, mode, t)
-                curves.add(out.read_bytes())
-            assert len(curves) == (0 if value < 0.0 and points > 1 else 1), value
+            code = main(["activation", f"--emax={value!r}", "--points", str(points),
+                         "--v0", str(self.V0), "--out", str(out)])
+            err = capsys.readouterr().err
+            if value < 0.0 and points > 1:  # one point is E = 0 alone
+                assert code == EXIT_INPUT, value
+                assert err == "error: energy must be non-negative\n"
+                continue
+            assert code == EXIT_OK, (value, err)
+            energy, t, dt = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).T
+            assert np.isfinite(t).all() and np.isfinite(dt).all(), value
+            assert ((t >= 0.0) & (t <= 1.0)).all(), (value, t)
 
     @pytest.mark.parametrize("mode, low", [("rectified", 0.0), ("absolute", 0.0),
                                            ("bipolar", -1.0)])
@@ -163,11 +158,13 @@ class TestExitCodes:
             assert flag in text
 
     def test_every_subcommand_has_help(self, capsys):
-        for cmd in (["activation"], ["spectrum"], ["train", "fnn"],
-                    ["train", "rnn"], ["train", "bnn"], ["esn"], ["wavepacket"]):
+        # only the commands that draw random numbers take a seed
+        for cmd, seeded in ((["activation"], False), (["spectrum"], False),
+                            (["train", "fnn"], True), (["train", "rnn"], True),
+                            (["train", "bnn"], True), (["esn"], True), (["wavepacket"], False)):
             assert main([*cmd, "--help"]) == EXIT_OK
             out = capsys.readouterr().out
-            assert "--config" in out and "--seed" in out
+            assert "--config" in out and ("--seed" in out) == seeded, cmd
 
     def test_malformed_input_per_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTNN_DATA_DIR", str(tmp_path / "void"))
@@ -340,6 +337,17 @@ class TestConfigFiles:
                      "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("cmd, key, value", [
+        ("activation", "mode", "bipolar"), ("activation", "ampl", 7.0),
+        ("activation", "seed", 9), ("spectrum", "seed", 9), ("wavepacket", "seed", 9),
+    ])
+    def test_key_that_reaches_no_output_rejected(self, tmp_path, capsys, cmd, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert one_error_line(capsys) == f"error: config file {cfg} has unknown keys: ['{key}']"
+
     def test_missing_config_rejected(self, tmp_path):
         code = main(["activation", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "c.csv")])
@@ -477,6 +485,21 @@ class TestEsnDivergence:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestTrainingDivergence:
+    def test_overflowed_weights_exit_2_with_one_line(self, tmp_path, capsys):
+        # lr 1e300 overflows the pre-activation after a few steps on the bundled
+        # corpus; pytest records warnings instead of printing them, so count them too
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "rnn", "--lr", "1e300", "--hidden", "4", "--epochs", "3",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        assert one_error_line(capsys) == (
+            "numerical failure: activation input is not finite at epoch 0, batch 3")
+        assert not caught, [str(w.message) for w in caught]
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestCanonicalJson:
     def test_sorted_and_17_digits(self):
         doc = canonical_json({"b": 1 / 3, "a": 2})
@@ -507,6 +530,8 @@ class TestUncomputableValues:
         (["spectrum", "--fs", "1e-300"], "must lie below the Nyquist frequency"),
         (["spectrum", "--f0", "512"], "must lie below the Nyquist frequency"),
         (["wavepacket", "--k0x", "1e300"], "k0x=1e+300 overflows the default barrier height"),
+        (["wavepacket", "--dx", "0"], "dx must be positive, got 0.0"),
+        (["wavepacket", "--dx", "-0.1"], "dx must be positive, got -0.1"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
     def test_exit_1_with_one_line(self, tmp_path, capsys, cmd, message):
         code = main([*cmd, "--out", str(tmp_path / "out")])

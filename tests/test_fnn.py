@@ -1,6 +1,8 @@
+import copy
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -110,7 +112,7 @@ class TestTraining:
     def test_zero_lr_leaves_weights(self):
         data = separable_toy_set()
         model = fnn_init(2, 3, 2, Activation.relu(), init_stream(1))
-        before = model.copy()
+        before = copy.deepcopy(model)
         fnn_train(model, data, TrainConfig(lr=0.0, epochs=3, batch_size=4, seed=1))
         assert np.array_equal(model.w1, before.w1)
         assert np.array_equal(model.w2, before.w2)
@@ -171,6 +173,28 @@ class TestTraining:
                 train(model, data, cfg)
             assert (err.value.epoch, err.value.batch) == (0, 0)
             assert [getattr(model, name).tobytes() for name in names] == before
+
+    def test_overflowed_weights_diverge_where_they_first_show(self):
+        # a step of lr 1e307-1e308 overflows a later pre-activation, in the epoch's
+        # scoring (fnn, one batch an epoch) or in a forward pass (bnn): that is
+        # TrainingDiverged with no numpy warning, not activate's InputError
+        from test_bnn import fashion_width_set  # test_bnn imports this module
+        from qtnn.trainutil import TrainingDiverged
+
+        data = fashion_width_set(16)
+        runs = [
+            (fnn_train, fnn_init(784, 8, 10, Activation.qt(), init_stream(6)), 1e308, 16,
+             (1, None)),
+            (bnn_train, bnn_init(784, 8, 10, Activation.qt(), init_stream(6)), 1e307, 1, (1, 2)),
+        ]
+        for train, model, lr, batch_size, where in runs:
+            cfg = TrainConfig(lr=lr, epochs=3, batch_size=batch_size, seed=6)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(TrainingDiverged, match="^activation input") as err:
+                    train(model, data, cfg, eval_data=data)
+            assert (err.value.epoch, err.value.batch) == where, train
+            assert not caught, [str(w.message) for w in caught]
 
     def test_default_config_runs_in_every_trainer(self):
         # the default batch size is 1, the one that the BNN and RNN trainers accept
@@ -441,6 +465,12 @@ class TestAhead:
             assert result == i * i
             assert len(pulled) <= i + 2
         assert list(_ahead(abs, iter(()))) == []
+
+    def test_jobs_run_under_the_callers_errstate(self):
+        # sgd_epochs silences overflow warnings for a scoring whose first layer runs here
+        with np.errstate(over="ignore"):
+            assert list(_ahead(lambda job: np.geterr()["over"], range(2))) == ["ignore"] * 2
+        assert list(_ahead(lambda job: np.geterr()["over"], range(1))) == [np.geterr()["over"]]
 
     def test_job_error_is_raised_on_the_caller(self):
         boom = RuntimeError("job failed")

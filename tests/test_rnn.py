@@ -1,3 +1,6 @@
+import copy
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,7 +100,7 @@ class TestBpttGradients:
 class TestTraining:
     def test_zero_lr_unchanged(self):
         model = rnn_init(3, 4, 2, Activation.tanh(), init_stream(0))
-        before = model.copy()
+        before = copy.deepcopy(model)
         rnn_train(model, two_phrase_corpus(), TrainConfig(lr=0.0, epochs=3, batch_size=1, seed=0),
                   train_frac=1.0)
         assert np.array_equal(model.wx, before.wx)
@@ -143,6 +146,22 @@ class TestTraining:
                 rnn_train(model, two_phrase_corpus(), cfg, train_frac=1.0)
             assert (err.value.epoch, err.value.batch) == (0, 0)
             assert [getattr(model, name).tobytes() for name in names] == before
+
+    def test_overflowed_weights_diverge_in_the_scoring(self):
+        # the first step of lr 1e300 overflows the pre-activation first when the
+        # train split is re-scored: TrainingDiverged with no numpy warning, not
+        # activate's InputError
+        from qtnn.trainutil import TrainingDiverged
+
+        model = rnn_init(3, 4, 2, Activation.qt(), init_stream(2))
+        cfg = TrainConfig(lr=1e300, epochs=3, batch_size=1, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingDiverged) as err:
+                rnn_train(model, two_phrase_corpus(), cfg, train_frac=1.0)
+        assert str(err.value) == "activation input is not finite at epoch 0, scoring"
+        assert (err.value.epoch, err.value.batch) == (0, None)
+        assert not caught, [str(w.message) for w in caught]
 
     def test_determinism(self):
         corpus = load_sentiment(bundled_sentiment_path())
@@ -262,7 +281,7 @@ class TestLockStepEvaluation:
         corpus = load_sentiment(bundled_sentiment_path())
         corpus.phrases[-1] = corpus.phrases[-1] + [corpus.vocab_size]
         model = rnn_init(corpus.vocab_size, 8, 2, Activation.qt(), init_stream(0))
-        before = model.copy()
+        before = copy.deepcopy(model)
         cfg = TrainConfig(lr=0.05, epochs=2, batch_size=1, clip_norm=5.0, seed=0)
         with pytest.raises(InputError, match="token indices"):
             rnn_train(model, corpus, cfg)

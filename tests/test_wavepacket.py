@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import Trajectory
+from conftest import Trajectory, lattice_transmission
 from qtnn.numerics import InputError
 from qtnn.wavepacket import (
     NumericalFailure,
     Scenario,
     frame_to_pgm16,
     frame_to_text,
+    probability_partition,
     wp_init,
     wp_run,
     wp_step,
@@ -206,13 +207,18 @@ class TestEdgeGrid:
                 if case[k] is not None:
                     case[k] = around(case[k])[rng.integers(3)]
             yield dict(case, barrier_x=barrier_x, sigma=sigma)
+        # a spacing of zero or below, on cases that step at DX
+        for kind, dx in itertools.product(values["kind"], (0.0, -0.1)):
+            yield dict(kind=kind, x0=margin, barrier_x=barrier_x, sigma=sigma, dx=dx)
 
     def test_every_case_steps_or_raises_input_error(self):
         stepped = rejected = 0
         for case in self.edge_cases():
+            dx = case.pop("dx", self.DX)
             try:
-                grid = wp_init(Scenario(**case), nx=self.NX, ny=self.NY, dx=self.DX)
-            except InputError:
+                grid = wp_init(Scenario(**case), nx=self.NX, ny=self.NY, dx=dx)
+            except InputError as err:
+                assert dx > 0.0 or str(err) == f"dx must be positive, got {dx}", (case, dx)
                 rejected += 1
                 continue
             wp_step(grid)
@@ -272,6 +278,20 @@ class TestRun:
         assert mass[600][2] > 0.1                      # transmitted lobe present
         assert mass[600][0] > 0.5                      # reflected lobe dominates
         assert mass[600][1] < mass[450][1]             # barrier interior drains
+
+    def test_transmitted_fraction_matches_the_lattice_oracle(self, barrier_run):
+        # the activation's premise, on the solver: by step 800 the packet has left the
+        # barrier (residual 1.5e-5), and the exact T(E) of the solver's own lattice,
+        # averaged over the packet's |phi(k)|^2 (Gaussian, std 1 / (2 sigma)), gives
+        # its transmitted fraction (0.18836 against 0.18818)
+        scenario, dx = barrier_run.scenario, 0.1
+        k = scenario.k0x + np.linspace(-4.0, 4.0, 201) / scenario.sigma  # +-8 std
+        weight = np.exp(-2.0 * (scenario.sigma * (k - scenario.k0x)) ** 2)
+        energy = (1.0 - np.cos(k * dx)) / dx**2  # the lattice's dispersion
+        t = [lattice_transmission(e, scenario.v0, scenario.thickness, dx) for e in energy]
+        expected = (weight * t).sum() / weight.sum()
+        transmitted = probability_partition(barrier_run.grid(800))["transmitted"]
+        assert abs(transmitted - expected) < 2e-3, (transmitted, expected)
 
     def test_double_slit_interference_fringes(self, double_slit_run):
         final = double_slit_run.grid(700).density()

@@ -13,7 +13,8 @@ failed-check count and the machine block.
 
 The second form prints, per workload and metric, the ratio of the medians
 (second file over first) and whether the two quartile ranges overlap, and
-flags every digest that differs between the files for one workload and seed.
+flags every digest and every failed-check count that differs between the
+files for one workload, trace mode and seed.
 Nothing here gates: the exit code does not depend on the numbers.
 """
 
@@ -72,7 +73,7 @@ def collect(root, seeds, seconds, traces):
 
 
 def compare(a, b):
-    """Report lines for two collected files: ratios, overlaps and changed digests."""
+    """Report lines for two collected files: ratios, overlaps, changed digests and failures."""
     lines = []
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
@@ -85,10 +86,11 @@ def compare(a, b):
         for mode in [t for t in wa["runs"] if t in wb["runs"]]:
             ra, rb = wa["runs"][mode], wb["runs"][mode]
             for seed in [s for s in ra if s in rb]:
-                da, db = ra[seed]["digest"], rb[seed]["digest"]
-                if da != db:
-                    lines.append(f"{workload} {mode} seed {seed}: digest changed "
-                                 f"{da[:16]} -> {db[:16]}")
+                for key in ("digest", "failed"):
+                    va, vb = ra[seed][key], rb[seed][key]
+                    if va != vb:
+                        lines.append(f"{workload} {mode} seed {seed}: {key} changed "
+                                     f"{str(va)[:16]} -> {str(vb)[:16]}")
     return lines
 
 
