@@ -154,22 +154,25 @@ class Activation:
         )
 
 
-def _transmission(e, p, grad, window):
-    """T(E) and, with ``grad``, dT/dE for a 1-D array of energies >= 0.
+def _transmission(x, scale, p, grad, window):
+    """T(E) and, with ``grad``, dT/dE at the energies E = scale * x, x a 1-D array >= 0.
 
     Energies below ``v0 - window`` take the sub-barrier form, those above
-    ``v0 + window`` the above-barrier form, and all between the E = v0 limit.
+    ``v0 + window`` the above-barrier form, and all between the E = v0 limit;
+    each branch maps what overflows to its limit, so NumPy's warnings are off.
     """
     k = p._derived
     lo, hi = k.windows[window]
-    t = np.full(e.shape, k.t_top)
-    dt = np.full(e.shape, k.dt_top) if grad else None
-    for branch, index in ((_sub_barrier, np.flatnonzero(e < lo)),
-                          (_above_barrier, np.flatnonzero(e > hi))):
-        if index.size:
-            t[index], branch_dt = branch(e.take(index), p, k, grad)
-            if grad:
-                dt[index] = branch_dt
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e = scale * x  # inf past the largest double: T = 1 there
+        t = np.full(e.shape, k.t_top)
+        dt = np.full(e.shape, k.dt_top) if grad else None
+        for branch, index in ((_sub_barrier, np.flatnonzero(e < lo)),
+                              (_above_barrier, np.flatnonzero(e > hi))):
+            if index.size:
+                t[index], branch_dt = branch(e.take(index), p, k, grad)
+                if grad:
+                    dt[index] = branch_dt
     return t, dt
 
 
@@ -178,16 +181,15 @@ def _sub_barrier(eb, p, k, grad):
     d = v0 - eb
     k1a = np.sqrt(k.c * d) * a
     # inf/nan slopes below _ZERO_WINDOW * v0 give way to the E = 0 limit at the end
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = k.v0sq / (4.0 * eb * d)
-        sh = np.sinh(np.minimum(k1a, _SINH_ARG_LIMIT))
-        s = sh * sh
-        tb = 1.0 / (1.0 + g * s)
-        if grad:
-            gp = k.v0sq * (2.0 * eb - v0) / (4.0 * eb**2 * d**2)
-            # sinh(2z) = 2 sinh(z) cosh(z) keeps the argument in range
-            sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-k.mh / (k1a / a))
-            db = -(gp * s + g * sp) * tb * tb
+    g = k.v0sq / (4.0 * eb * d)
+    sh = np.sinh(np.minimum(k1a, _SINH_ARG_LIMIT))
+    s = sh * sh
+    tb = 1.0 / (1.0 + g * s)
+    if grad:
+        gp = k.v0sq * (2.0 * eb - v0) / (4.0 * eb**2 * d**2)
+        # sinh(2z) = 2 sinh(z) cosh(z) keeps the argument in range
+        sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-k.mh / (k1a / a))
+        db = -(gp * s + g * sp) * tb * tb
     # T underflows below ~1e-300 past this point; report 0 rather than overflow
     gated = k1a >= _SINH_ARG_LIMIT
     tb[gated] = 0.0
@@ -203,24 +205,25 @@ def _above_barrier(ea, p, k, grad):
     v0, a = p.v0, p.a
     al = ea - v0
     ka = np.sqrt(k.c * al) * a
-    # astronomically large E overflows the intermediates but saturates
-    # cleanly to the transparent limit T = 1, dT = 0
-    with np.errstate(over="ignore"):
-        g = k.v0sq / (4.0 * ea * al)
-        s = np.sin(ka) ** 2
-        ta = 1.0 / (1.0 + g * s)
-        if not grad:
-            return ta, None
-        gp = -k.v0sq * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
-        sp = a * np.sin(2.0 * ka) * (k.mh / (ka / a))
-        return ta, -(gp * s + g * sp) * ta * ta
+    g = k.v0sq / (4.0 * ea * al)
+    s = np.sin(ka) ** 2
+    # past ~8e307 the closed forms overflow into NaN (sin(inf), inf/inf): T = 1, dT = 0 there
+    ta = 1.0 / (1.0 + g * s)
+    ta[np.isnan(ta)] = 1.0
+    if not grad:
+        return ta, None
+    gp = -k.v0sq * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
+    sp = a * np.sin(2.0 * ka) * (k.mh / (ka / a))
+    da = -(gp * s + g * sp) * ta * ta
+    da[np.isnan(da)] = 0.0
+    return ta, da
 
 
 def _energy_transmission(energy, params, grad, window):
     e = np.asarray(energy, dtype=np.float64) + 0.0  # -0.0 -> +0.0, all else unchanged
     if not (e >= 0.0).all():
         raise InputError("energy must be non-negative")
-    t, dt = _transmission(e.ravel(), params or BarrierParams(), grad, window)
+    t, dt = _transmission(e.ravel(), 1.0, params or BarrierParams(), grad, window)
     out = (dt if grad else t).reshape(e.shape)
     return float(out) if e.ndim == 0 else out
 
@@ -252,7 +255,7 @@ def _qt_activate(x, p, grad):
         block = slice(start, start + _BLOCK)
         live = np.flatnonzero(xf[block] != 0.0 if absolute else xf[block] > 0.0)
         xl = xf[block].take(live)
-        t, dt = _transmission(p.ampl * (np.abs(xl) if absolute else xl), p, grad, _DERIV_WINDOW)
+        t, dt = _transmission(np.abs(xl) if absolute else xl, p.ampl, p, grad, _DERIV_WINDOW)
         y.reshape(-1)[block][live] = 2.0 * t - 1.0 if bipolar else t
         if grad:
             dy.reshape(-1)[block][live] = (scale * np.sign(xl) if absolute else scale) * dt

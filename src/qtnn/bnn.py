@@ -152,7 +152,7 @@ def bnn_train(model, data, cfg, eval_data=None):
     noise = chain.from_iterable(chunks)  # drops each chunk before asking for the next
 
     def forward(idx):
-        xb, yb = data.rows(idx), data.labels_onehot[idx]
+        xb, yb = data.rows(idx), data.onehot(idx)
         eps1, w2_noise = next(noise)
         z1 = xb @ model.w1_mean + model.b1
         z1 += np.sqrt((xb[0] ** 2) @ w1_var) * eps1
@@ -175,7 +175,7 @@ def bnn_train(model, data, cfg, eval_data=None):
 
     trace = TrainingTrace()
     with closing(chunks):
-        for _, loss, acc, evaluation in sgd_epochs(data.labels(), cfg, forward, update, score):
+        for _, loss, acc, evaluation in sgd_epochs(data.labels, cfg, forward, update, score):
             trace.record(loss, acc, evaluation)
     return trace
 
@@ -188,10 +188,9 @@ def bnn_evaluate(model, data, rng):
     correct = 0
     total_loss = 0.0
     for start in range(0, n, EVAL_BATCH):
-        xb = data.rows(slice(start, start + EVAL_BATCH))
-        yb = data.labels_onehot[start : start + EVAL_BATCH]
-        probs = bnn_predict(model, xb, rng.spawn(start))
-        correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-        true_p = np.clip((probs * yb).sum(axis=1), 1e-300, None)
+        rows = slice(start, start + EVAL_BATCH)
+        probs = bnn_predict(model, data.rows(rows), rng.spawn(start))
+        correct += int((probs.argmax(axis=1) == data.labels[rows]).sum())
+        true_p = np.clip((probs * data.onehot(rows)).sum(axis=1), 1e-300, None)
         total_loss += float(-np.log(true_p).sum())
     return correct / n, total_loss / n

@@ -235,7 +235,8 @@ def _trained(trace, save, model, path, **metrics):
 def _cmd_activation(cfg, args):
     """--out is the T(E), dT/dE curve as CSV; --report optionally adds JSON."""
     params = BarrierParams(**{key: cfg[key] for key, *_ in _BARRIER})
-    energies = np.linspace(0.0, cfg["emax"], cfg["points"]) + 0.0  # no -0.0 at emax=-0.0
+    with np.errstate(over="ignore"):  # the last step may overflow before emax replaces it
+        energies = np.linspace(0.0, cfg["emax"], cfg["points"]) + 0.0  # no -0.0 at emax=-0.0
     t = qt_transmission(energies, params)
     dt = qt_transmission_derivative(energies, params)
     out = args.out or "activation_curve.csv"
@@ -505,12 +506,12 @@ def main(argv=None):
             report["seed"] = cfg["seed"]
         if report_path:
             write_report(report, report_path)
-    except (InputError, FormatError, ShapeError, FileNotFoundError, NotADirectoryError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_INPUT
     except (TrainingDiverged, NumericalFailure, SingularMatrixError, ReportIOError) as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC
+    except (InputError, FormatError, ShapeError, OSError) as err:  # after its ReportIOError
+        sys.stderr.write(f"error: {err}\n")
+        return EXIT_INPUT
     if report_path:
         print(f"report written to {report_path}")
     summary = {k: v for k, v in report["metrics"].items() if not isinstance(v, (list, dict))}

@@ -6,17 +6,19 @@ two-column CSV form, and a Mackey-Glass delay-differential time series
 integrated on the fly.  The dataset root directory is ``./data`` unless
 the ``QTNN_DATA_DIR`` environment variable points elsewhere.
 
-Images stay in memory as the uint8 codes read from the file; a
-``LabeledDataset`` divides a batch's rows by 255 when the batch is read
-(``rows``), so no float64 copy of a whole split is ever made.
+Images and labels stay in memory as the uint8 codes read from the file; a
+``LabeledDataset`` divides a batch's rows by 255 (``rows``) and makes its
+one-hot label rows (``onehot``) when the batch is read, so no float64 copy
+of a whole split is ever made.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -62,42 +64,41 @@ def data_dir():
 
 @dataclass
 class LabeledDataset:
-    """Flattened inputs ``codes / scale`` in [0, 1] with one-hot labels.
+    """Flattened inputs ``codes / scale`` in [0, 1] with integer class labels.
 
     The inputs are kept as the stored ``codes`` (uint8 pixel values for IDX
     images, at 1/8 the memory of float64) and turned into float64 only for
     the rows a caller asks for, through :meth:`rows`.  Float inputs go in
-    as ``codes`` with the default ``scale`` of 1.
+    as ``codes`` with the default ``scale`` of 1.  The labels are kept as
+    class indices in [0, len(class_names)) and :meth:`onehot` makes the
+    one-hot rows of the ones a caller asks for.
     """
 
-    codes: np.ndarray          # samples x features, values in [0, scale]
-    labels_onehot: np.ndarray  # samples x classes, rows one-hot
+    codes: np.ndarray   # samples x features, values in [0, scale]
+    labels: np.ndarray  # samples, class indices in [0, n_classes)
     class_names: list
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.codes.ndim != 2 or self.labels_onehot.ndim != 2:
-            raise FormatError("inputs and labels must be 2-D")
-        if self.codes.shape[0] != self.labels_onehot.shape[0]:
-            raise FormatError(
-                f"{self.codes.shape[0]} inputs vs {self.labels_onehot.shape[0]} labels"
-            )
+        if self.codes.ndim != 2 or self.labels.ndim != 1 or self.labels.dtype.kind not in "iu":
+            raise FormatError("inputs must be 2-D and labels 1-D integers")
+        if self.codes.shape[0] != self.labels.shape[0]:
+            raise FormatError(f"{self.codes.shape[0]} inputs vs {self.labels.shape[0]} labels")
         if not 0.0 < self.scale < np.inf:
             raise FormatError(f"scale must be positive and finite, got {self.scale}")
         # written so that NaN fails it too
-        if self.codes.size and not (
-            self.codes.min() >= 0 and self.codes.max() <= self.scale
-        ):
+        if self.codes.size and not (self.codes.min() >= 0 and self.codes.max() <= self.scale):
             raise FormatError(f"inputs must lie in [0, {self.scale:g}]")
-        row_sums = self.labels_onehot.sum(axis=1)
-        if not np.all(row_sums == 1.0) or not np.all(
-            (self.labels_onehot == 0.0) | (self.labels_onehot == 1.0)
-        ):
-            raise FormatError("labels must be one-hot rows")
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < self.n_classes:
+            raise FormatError(f"labels must lie in [0, {self.n_classes})")
 
     def rows(self, index):
         """Float64 inputs of the rows ``codes[index]``, each code divided by scale."""
         return np.divide(self.codes[index], self.scale, dtype=np.float64)
+
+    def onehot(self, index):
+        """Float64 one-hot rows of the labels ``labels[index]``."""
+        return np.eye(self.n_classes)[self.labels[index]]
 
     @property
     def inputs(self):
@@ -114,15 +115,10 @@ class LabeledDataset:
 
     @property
     def n_classes(self):
-        return self.labels_onehot.shape[1]
-
-    def labels(self):
-        return self.labels_onehot.argmax(axis=1)
+        return len(self.class_names)
 
     def subset(self, indices):
-        return LabeledDataset(
-            self.codes[indices], self.labels_onehot[indices], self.class_names, self.scale
-        )
+        return replace(self, codes=self.codes[indices], labels=self.labels[indices])
 
 
 def _read_maybe_gzip(path):
@@ -165,8 +161,9 @@ def load_idx(images_path, labels_path, class_names=None):
 
     Big-endian headers, image magic 2051 and label magic 2049; each file
     must be exactly as long as its header says.  The pixels stay the uint8
-    codes of the file, flattened row-major, with scale 255 (a read-only
-    view of the file's bytes); labels are one-hot over 10 classes.
+    codes of the file, flattened row-major, with scale 255, and the labels
+    the file's uint8 class indices (each a read-only view of the file's
+    bytes); ``class_names`` defaults to the ten MNIST digits.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     img_blob = _read_maybe_gzip(images_path)
@@ -181,14 +178,12 @@ def load_idx(images_path, labels_path, class_names=None):
 
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n_images * rows * cols, offset=16)
     labels = np.frombuffer(lab_blob, dtype=np.uint8, count=n_labels, offset=8)
-    if labels.size and labels.max() > 9:
-        bad = int(np.argmax(labels > 9))
-        raise FormatError(f"{labels_path}: label {labels[bad]} at item {bad} exceeds 9")
-
-    onehot = np.zeros((n_images, 10))
-    onehot[np.arange(n_images), labels] = 1.0
     names = class_names if class_names is not None else list(MNIST_CLASS_NAMES)
-    return LabeledDataset(pixels.reshape(n_images, rows * cols), onehot, names, 255.0)
+    if labels.size and labels.max() >= len(names):
+        bad = int(np.argmax(labels >= len(names)))
+        raise FormatError(
+            f"{labels_path}: label {labels[bad]} at item {bad} exceeds {len(names) - 1}")
+    return LabeledDataset(pixels.reshape(n_images, rows * cols), labels, names, 255.0)
 
 
 def _idx_pair(root, split):
@@ -245,32 +240,34 @@ def load_sentiment(path):
     path = Path(path)
     phrases, labels = [], []
     vocab = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected header line 'text,label'")
-        if [h.strip().lower() for h in header] != ["text", "label"]:
-            raise FormatError(f"{path}: line 1: header must be 'text,label'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            text, label = row[0].strip(), row[1].strip()
-            if label not in ("0", "1"):
-                raise FormatError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")
-            tokens = text.lower().split()
-            if not tokens:
-                raise FormatError(f"{path}: line {lineno}: empty text")
-            ids = []
-            for tok in tokens:
-                if tok not in vocab:
-                    vocab[tok] = len(vocab) + 1
-                ids.append(vocab[tok])
-            phrases.append(ids)
-            labels.append(int(label))
+    try:
+        reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: byte {err.start}: not UTF-8 text") from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty file, expected header line 'text,label'")
+    if [h.strip().lower() for h in header] != ["text", "label"]:
+        raise FormatError(f"{path}: line 1: header must be 'text,label'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise FormatError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+        text, label = row[0].strip(), row[1].strip()
+        if label not in ("0", "1"):
+            raise FormatError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")
+        tokens = text.lower().split()
+        if not tokens:
+            raise FormatError(f"{path}: line {lineno}: empty text")
+        ids = []
+        for tok in tokens:
+            if tok not in vocab:
+                vocab[tok] = len(vocab) + 1
+            ids.append(vocab[tok])
+        phrases.append(ids)
+        labels.append(int(label))
     return SentimentCorpus(phrases, labels, vocab)
 
 

@@ -136,8 +136,8 @@ def fnn_train(model, data, cfg, eval_data=None):
     params = (model.w1, model.b1, model.w2, model.b2)
     trace = TrainingTrace()
     for _, loss, acc, evaluation in sgd_epochs(
-        data.labels(), cfg,
-        lambda idx: fnn_forward(model, data.rows(idx), data.labels_onehot[idx]),
+        data.labels, cfg,
+        lambda idx: fnn_forward(model, data.rows(idx), data.onehot(idx)),
         lambda cache, dlogits: _dense_step(params, fnn_backward(model, cache, dlogits), cfg),
         lambda epoch: None if eval_data is None else fnn_evaluate(model, eval_data),
     ):
@@ -154,19 +154,19 @@ def fnn_evaluate(model, data):
         raise InputError("dataset is empty")
 
     def first_layer(job):  # on the worker: fills in the z1 that the caller allocated
-        x, z1, onehot = job
+        x, z1, rows = job
         np.matmul(x, w1, out=z1)
         z1 += b1
-        return z1, onehot  # the rows are not needed past z1
+        return z1, rows  # the inputs are not needed past z1
 
-    def score(z1, onehot):  # values only: the hidden-unit derivatives go unused here
-        probs, _, loss, _ = _dense_forward(None, z1, model.w2, model.b2, model.hidden_act, onehot,
-                                           grad=False)
-        return int((probs.argmax(axis=1) == onehot.argmax(axis=1)).sum()), loss * z1.shape[0]
+    def score(z1, rows):  # values only: the hidden-unit derivatives go unused here
+        probs, _, loss, _ = _dense_forward(None, z1, model.w2, model.b2, model.hidden_act,
+                                           data.onehot(rows), grad=False)
+        return int((probs.argmax(axis=1) == data.labels[rows]).sum()), loss * z1.shape[0]
 
-    # (rows, z1, labels) per batch, made here as _ahead asks; starmap keeps no batch it scored
+    # (inputs, z1, row slice) per batch, made here as _ahead asks; starmap keeps no batch it scored
     jobs = ((data.rows(slice(s, s + batch)), np.empty((min(batch, n - s), b1.size)),
-             data.labels_onehot[s : s + batch]) for s in range(0, n, batch))
+             slice(s, s + batch)) for s in range(0, n, batch))
     correct, total_loss = 0, 0.0
     with closing(_ahead(first_layer, jobs)) as layers:
         for right, loss in starmap(score, layers):

@@ -189,8 +189,8 @@ def test_c07_bnn_properties():
     # exact std=0 equivalence: forward, prediction, training trajectory
     rng = np.random.default_rng(0)
     inputs = rng.random((24, 6))
-    onehot = np.eye(3)[rng.integers(0, 3, 24)]
-    data = LabeledDataset(inputs, onehot, list("abc"))
+    labels = rng.integers(0, 3, 24)
+    data = LabeledDataset(inputs, labels, list("abc"))
     cfg = TrainConfig(lr=0.2, epochs=3, batch_size=1, clip_norm=5.0, seed=5)
     bmodel = bnn_init(6, 5, 3, Activation.qt(), init_stream(cfg.seed), std_init=0.0)
     fmodel = fnn_init(6, 5, 3, Activation.qt(), init_stream(cfg.seed))

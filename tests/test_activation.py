@@ -61,6 +61,18 @@ class TestTransmissionValues:
             with pytest.raises(InputError):
                 fn(np.array([1.0, np.nan]), UNIT)
 
+    @pytest.mark.filterwarnings("error")
+    def test_transparent_limit_past_overflow(self):
+        # the closed forms overflow into NaN from ~8e307 (the slope) and ~9e307
+        # (sin(kappa a)); there T = 1 and dT/dE = 0, as is every energy above
+        # the largest double that ampl * x reaches
+        big = np.array([8e307, 9e307, np.finfo(np.float64).max])
+        assert qt_transmission(big, UNIT).tolist() == [1.0] * 3
+        assert qt_transmission_derivative(big, UNIT).tolist() == [0.0] * 3
+        for mode in ("rectified", "absolute", "bipolar"):
+            y, dy = activate(big, Activation.qt(ampl=2.0, mode=mode))
+            assert y.tolist() == [1.0] * 3 and dy.tolist() == [0.0] * 3, mode
+
     def test_huge_barrier_underflows_to_zero(self):
         p = BarrierParams(v0=2.0, a=500.0, m=1.0, hbar=1.0)
         assert qt_transmission(1.0, p) == 0.0

@@ -41,8 +41,8 @@ def zero_rich_set(n=30, n_features=12, n_classes=3, seed=0):
     for row in inputs[:-1]:
         live = rng.choice(n_features, rng.integers(1, n_features // 2 + 1), replace=False)
         row[live] = rng.uniform(0.05, 1.0, live.size)
-    onehot = np.eye(n_classes)[rng.integers(0, n_classes, n)]
-    return LabeledDataset(inputs, onehot, [f"c{k}" for k in range(n_classes)])
+    labels = rng.integers(0, n_classes, n)
+    return LabeledDataset(inputs, labels, [f"c{k}" for k in range(n_classes)])
 
 
 def dense_batch1_train(model, data, cfg):
@@ -55,7 +55,7 @@ def dense_batch1_train(model, data, cfg):
         epoch_loss = 0.0
         for i in rng_shuffle.permutation(data.n_samples):
             xb = data.inputs[[i]]
-            yb = data.labels_onehot[[i]]
+            yb = data.onehot([i])
             noise_scale = np.sqrt((xb[0] ** 2) @ w1_var)
             z1 = xb @ model.w1_mean + model.b1
             z1 += noise_scale * rng_noise.normals(z1.shape[1])
@@ -85,7 +85,7 @@ def serial_bnn_train(model, data, cfg):
     params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
 
     def forward(idx):
-        xb, yb = data.rows(idx), data.labels_onehot[idx]
+        xb, yb = data.rows(idx), data.onehot(idx)
         z1 = xb @ model.w1_mean + model.b1
         z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
         eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
@@ -104,7 +104,7 @@ def serial_bnn_train(model, data, cfg):
             p -= cfg.lr * g
 
     trace = TrainingTrace()
-    for _, loss, acc, _ in sgd_epochs(data.labels(), cfg, forward, update):
+    for _, loss, acc, _ in sgd_epochs(data.labels, cfg, forward, update):
         trace.record(loss, acc)
     return trace
 
@@ -113,8 +113,8 @@ def fashion_width_set(n, seed=0):
     """n rows of 784 uint8 codes, about 19% non-zero as in MNIST-layout images."""
     rng = np.random.default_rng(seed)
     codes = (rng.random((n, 784)) < 0.19) * rng.integers(1, 256, (n, 784))
-    onehot = np.eye(10)[rng.integers(0, 10, n)]
-    return LabeledDataset(codes.astype(np.uint8), onehot, [str(k) for k in range(10)], 255.0)
+    labels = rng.integers(0, 10, n)
+    return LabeledDataset(codes.astype(np.uint8), labels, [str(k) for k in range(10)], 255.0)
 
 
 class TestSampleForward:

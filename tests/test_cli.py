@@ -64,13 +64,15 @@ class TestActivationEdgeGrid:
     """
 
     V0, AMPL = 3.0, 1.5
-    EDGES = (0.0, 5e-324, 1e-310, 1e300, V0 / AMPL, V0)  # V0 / AMPL = 2.0 exactly
+    # V0 / AMPL = 2.0 exactly; the last two overflow the closed forms' intermediates
+    EDGES = (0.0, 5e-324, 1e-310, 1e300, V0 / AMPL, V0, 1e308, 1.7976931348623157e308)
 
     def grid(self):
         rng = np.random.default_rng(16)
         values = [sign * edge for edge in self.EDGES for sign in (1.0, -1.0)]
         return [values[i] for i in rng.permutation(len(values))]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("points", [1, 2, 7])
     def test_cli_exit_code_and_range(self, tmp_path, capsys, points):
         out = tmp_path / "curve.csv"
@@ -150,6 +152,32 @@ class TestExitCodes:
         code = main(["activation", "--out", str(tmp_path / "c.csv"),
                      "--report", str(tmp_path / "missing_dir" / "r.json")])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("case", ["corpus-not-utf8", "corpus-dir", "checkpoint-dir",
+                                      "activation-out-dir", "spectrum-csv-dir",
+                                      "wavepacket-outdir-file"])
+    def test_unusable_path_exit_1_one_line(self, tmp_path, capsys, case):
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file.csv"
+        a_dir.mkdir()
+        a_file.write_bytes(b"text,label\ngood,1\nbad \xff,0\n")
+        out = str(tmp_path / "r.json")
+        rnn = ["train", "rnn", "--hidden", "4", "--epochs", "1", "--out", out]
+        cmd = {
+            "corpus-not-utf8": [*rnn, "--corpus", str(a_file)],
+            "corpus-dir": [*rnn, "--corpus", str(a_dir)],
+            "checkpoint-dir": [*rnn, "--checkpoint", str(a_dir)],
+            "activation-out-dir": ["activation", "--out", str(a_dir)],
+            "spectrum-csv-dir": ["spectrum", "--csv", str(a_dir), "--out", out],
+            "wavepacket-outdir-file": ["wavepacket", "--scenario", "barrier", "--nx", "64",
+                                       "--ny", "64", "--steps", "2", "--x0", "3.2",
+                                       "--sigma", "0.6", "--barrier-x", "6.4",
+                                       "--outdir", str(a_file), "--out", out],
+        }[case]
+        assert main(cmd) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if case == "corpus-not-utf8":
+            assert err == f"error: {a_file}: byte 22: not UTF-8 text\n"
 
     def test_help_lists_flags(self, capsys):
         assert main(["esn", "--help"]) == EXIT_OK

@@ -35,12 +35,12 @@ class TestIdxLoader:
         write_idx_pair(images, labels, ip, lp)
         ds = load_idx(ip, lp)
         assert ds.n_samples == 2 and ds.n_features == 784 and ds.n_classes == 10
-        assert np.array_equal(ds.labels(), [3, 7])
+        assert np.array_equal(ds.labels, [3, 7])
         assert np.allclose(ds.inputs, images.reshape(2, 784) / 255.0)
         # bit-exact re-serialization from the loaded arrays
         recon = np.round(ds.inputs * 255.0).astype(np.uint8).reshape(2, 28, 28)
         ip2, lp2 = tmp_path / "img2", tmp_path / "lab2"
-        write_idx_pair(recon, ds.labels().astype(np.uint8), ip2, lp2)
+        write_idx_pair(recon, ds.labels, ip2, lp2)
         assert ip2.read_bytes() == ip.read_bytes()
         assert lp2.read_bytes() == lp.read_bytes()
 
@@ -90,7 +90,7 @@ class TestIdxLoader:
         plain = load_idx(ip, lp)
         zipped = load_idx(ipz, lpz)
         assert np.array_equal(plain.inputs, zipped.inputs)
-        assert np.array_equal(plain.labels(), zipped.labels())
+        assert np.array_equal(plain.labels, zipped.labels)
 
     def test_gz_fallback_in_conventional_layout(self, tmp_path, monkeypatch):
         import gzip
@@ -273,32 +273,50 @@ class TestLabeledDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
     def test_out_of_range_or_nan_inputs_rejected(self, bad):
         with pytest.raises(FormatError, match=r"inputs must lie in \[0, 1\]"):
-            LabeledDataset(np.array([[0.5, bad], [0.1, 0.2]]), np.eye(2), ["a", "b"])
+            LabeledDataset(np.array([[0.5, bad], [0.1, 0.2]]), np.arange(2), ["a", "b"])
 
     def test_codes_checked_against_scale(self):
         codes = np.array([[0, 200], [17, 100]], dtype=np.uint8)
-        assert LabeledDataset(codes, np.eye(2), ["a", "b"], 255.0).n_features == 2
+        assert LabeledDataset(codes, np.arange(2), ["a", "b"], 255.0).n_features == 2
         with pytest.raises(FormatError, match=r"\[0, 100\]"):
-            LabeledDataset(codes, np.eye(2), ["a", "b"], 100.0)
+            LabeledDataset(codes, np.arange(2), ["a", "b"], 100.0)
         for scale in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(FormatError, match="scale"):
-                LabeledDataset(codes, np.eye(2), ["a", "b"], scale)
+                LabeledDataset(codes, np.arange(2), ["a", "b"], scale)
+
+    @pytest.mark.parametrize("labels, match", [
+        (np.array([[0], [1]]), "labels 1-D"),
+        (np.array([0.0, 1.0]), "labels 1-D integers"),
+        (np.array([0, 1, 1]), "2 inputs vs 3 labels"),
+        (np.array([0], dtype=np.uint8), "2 inputs vs 1 labels"),
+        (np.array([0, -1]), r"labels must lie in \[0, 2\)"),
+        (np.array([2, 0], dtype=np.uint8), r"labels must lie in \[0, 2\)"),
+    ])
+    def test_bad_labels_rejected(self, labels, match):
+        with pytest.raises(FormatError, match=match):
+            LabeledDataset(np.zeros((2, 3)), labels, ["a", "b"])
 
     def test_rows_divide_every_code_exactly(self):
         codes = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        data = LabeledDataset(codes, np.eye(16), list("abcdefghijklmnop"), 255.0)
+        data = LabeledDataset(codes, np.arange(16)[::-1], list("abcdefghijklmnop"), 255.0)
         want = codes.astype(np.float64) / 255.0
         assert data.rows(slice(None)).tobytes() == want.tobytes()
         assert data.rows([3, 0, 3]).tobytes() == want[[3, 0, 3]].tobytes()
         assert data.inputs.tobytes() == want.tobytes()
         # the reciprocal product is not the same number for every code
         assert (codes * (1.0 / 255.0)).tobytes() != want.tobytes()
+        # the label counterpart: one-hot float64 rows of the labels asked for
+        for idx in ([3, 0, 3], slice(2, 5), np.array([15])):
+            assert data.onehot(idx).tobytes() == np.eye(16)[data.labels[idx]].tobytes()
+        assert data.onehot([3, 0]).tolist() == [[0.0] * 12 + [1.0] + [0.0] * 3,
+                                                [0.0] * 15 + [1.0]]
 
     def test_subset_keeps_codes_and_scale(self):
         codes = np.arange(12, dtype=np.uint8).reshape(4, 3)
-        data = LabeledDataset(codes, np.eye(4), list("abcd"), 255.0).subset([2, 0])
+        data = LabeledDataset(codes, np.arange(4), list("abcd"), 255.0).subset([2, 0])
         assert data.codes.dtype == np.uint8 and data.scale == 255.0
         assert data.codes.tolist() == [[6, 7, 8], [0, 1, 2]]
+        assert data.labels.tolist() == [2, 0] and data.n_classes == 4
 
     def test_load_idx_holds_uint8_codes(self, tmp_path):
         images = np.arange(5 * 28 * 28, dtype=np.uint8).reshape(5, 28, 28)
@@ -308,14 +326,19 @@ class TestLabeledDataset:
         assert ds.codes.dtype == np.uint8 and ds.codes.nbytes == 5 * 784
         assert ds.scale == 255.0
         assert ds.inputs.tobytes() == (images.reshape(5, 784) / 255.0).tobytes()
+        # the labels are the file's bytes, and no field holds a float array
+        assert ds.labels.dtype == np.uint8 and ds.labels.tobytes() == lp.read_bytes()[8:]
+        assert not ds.labels.flags.writeable
+        assert [name for name, value in vars(ds).items()
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f"] == []
 
 
 def _pixel_set(n=40, n_features=30, seed=3):
-    """uint8 codes (most of them zero) with one-hot labels over 4 classes."""
+    """uint8 codes (most of them zero) with labels over 4 classes."""
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 256, (n, n_features)).astype(np.uint8)
     codes[rng.random(codes.shape) < 0.6] = 0
-    return codes, np.eye(4)[rng.integers(0, 4, n)]
+    return codes, rng.integers(0, 4, n)
 
 
 def _train_and_score(data, test, kind):
@@ -352,10 +375,10 @@ class TestUint8Storage:
 
     @pytest.mark.parametrize("kind", ["fnn", "bnn", "bnn-clipped"])
     def test_uint8_codes_train_like_float64_inputs(self, kind):
-        codes, onehot = _pixel_set()
+        codes, labels = _pixel_set()
         names = list("abcd")
-        as_codes = LabeledDataset(codes, onehot, names, 255.0)
-        as_float = LabeledDataset(codes / 255.0, onehot, names)
+        as_codes = LabeledDataset(codes, labels, names, 255.0)
+        as_float = LabeledDataset(codes / 255.0, labels, names)
         assert as_float.codes.dtype == np.float64 and as_float.scale == 1.0
         test = (as_codes.subset(np.arange(20, 40)), as_float.subset(np.arange(20, 40)))
         got = _train_and_score(as_codes.subset(np.arange(20)), test[0], kind)
@@ -368,8 +391,8 @@ class TestUint8Storage:
             raise RuntimeError("a hot path converted every row")
 
         monkeypatch.setattr(LabeledDataset, "inputs", property(whole_set))
-        codes, onehot = _pixel_set()
-        data = LabeledDataset(codes, onehot, list("abcd"), 255.0)
+        codes, labels = _pixel_set()
+        data = LabeledDataset(codes, labels, list("abcd"), 255.0)
         for kind in ("fnn", "bnn", "bnn-clipped"):
             _train_and_score(data.subset(np.arange(20)), data.subset(np.arange(20, 40)), kind)
         monkeypatch.setenv("QTNN_DATA_DIR", str(synthetic_image_data))

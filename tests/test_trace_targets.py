@@ -46,7 +46,7 @@ def test_clip_span_sees_every_step(monkeypatch):
 
     monkeypatch.setattr(qtnn.fnn, "clip_gradients", counting)
     rng = np.random.default_rng(0)
-    data = LabeledDataset(rng.uniform(size=(10, 3)), np.eye(2)[np.arange(10) % 2], ["a", "b"])
+    data = LabeledDataset(rng.uniform(size=(10, 3)), np.arange(10) % 2, ["a", "b"])
     corpus = SentimentCorpus([[1, 2], [2], [3, 1], [3]], [1, 0, 1, 0],
                              {"a": 1, "b": 2, "c": 3})
     act = Activation.qt()

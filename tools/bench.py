@@ -12,9 +12,11 @@ seeds (end-to-end metrics from ``--trace 0``, per-layer ones from
 failed-check count and the machine block.
 
 The second form prints, per workload and metric, the ratio of the medians
-(second file over first) and whether the two quartile ranges overlap, and
-flags every digest and every failed-check count that differs between the
-files for one workload, trace mode and seed.
+(second file over first), whether the two quartile ranges overlap and at
+how many of the seeds both files ran the second file is better (the
+direction is the metric's ``better`` in ``BENCHMARK.json``; a tie counts for
+neither), and flags every digest and every failed-check count that differs
+between the files for one workload, trace mode and seed.
 Nothing here gates: the exit code does not depend on the numbers.
 """
 
@@ -72,8 +74,16 @@ def collect(root, seeds, seconds, traces):
         for w in workloads}}
 
 
-def compare(a, b):
-    """Report lines for two collected files: ratios, overlaps, changed digests and failures."""
+def seed_wins(a, b, ma, mb, higher):
+    """(wins, common): at how many common seeds metric ``mb`` of b beats ``ma`` of a."""
+    va, vb = dict(zip(a["seeds"], ma["values"])), dict(zip(b["seeds"], mb["values"]))
+    common = [s for s in va if s in vb]
+    return sum((vb[s] > va[s]) if higher else (vb[s] < va[s]) for s in common), len(common)
+
+
+def compare(a, b, better):
+    """Report lines for two collected files: ratios, overlaps, wins per seed, changed
+    digests and failures; ``better`` maps a metric name to "higher" or "lower"."""
     lines = []
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
@@ -81,8 +91,12 @@ def compare(a, b):
             ma, mb = wa["metrics"][name], wb["metrics"][name]
             ratio = f"x{mb['median'] / ma['median']:.3f}" if ma["median"] else "x n/a"
             apart = mb["q1"] > ma["q3"] or ma["q1"] > mb["q3"]
-            lines.append(f"{workload} {name}: {ma['median']:.6g} -> {mb['median']:.6g} {ratio}, "
-                         f"quartiles {'apart' if apart else 'overlap'}")
+            line = (f"{workload} {name}: {ma['median']:.6g} -> {mb['median']:.6g} {ratio}, "
+                    f"quartiles {'apart' if apart else 'overlap'}")
+            if name in better:
+                wins, common = seed_wins(a, b, ma, mb, better[name] == "higher")
+                line += f", better at {wins}/{common} seeds"
+            lines.append(line)
         for mode in [t for t in wa["runs"] if t in wb["runs"]]:
             ra, rb = wa["runs"][mode], wb["runs"][mode]
             for seed in [s for s in ra if s in rb]:
@@ -106,7 +120,9 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
-        print("\n".join(compare(a, b)))
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        print("\n".join(compare(a, b, better)))
         return 0
     if args.out is None or args.seeds < 1:
         p.error("collecting needs --out and --seeds >= 1")
