@@ -165,10 +165,11 @@ def _transmission(x, scale, p, grad, window):
     lo, hi = k.windows[window]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = scale * x  # inf past the largest double: T = 1 there
-        t = np.full(e.shape, k.t_top)
+        t = np.empty(e.shape)  # and fill: np.full's Python wrapper is a fixed cost per call
+        t.fill(k.t_top)
         dt = np.full(e.shape, k.dt_top) if grad else None
-        for branch, index in ((_sub_barrier, np.flatnonzero(e < lo)),
-                              (_above_barrier, np.flatnonzero(e > hi))):
+        for branch, index in ((_sub_barrier, (e < lo).nonzero()[0]),
+                              (_above_barrier, (e > hi).nonzero()[0])):
             if index.size:
                 t[index], branch_dt = branch(e.take(index), p, k, grad)
                 if grad:
@@ -249,17 +250,18 @@ def _qt_activate(x, p, grad):
     absolute, bipolar = p.mode == "absolute", p.mode == "bipolar"
     scale = 2.0 * p.ampl if bipolar else p.ampl
     xf = x.ravel()
-    y = np.full(x.shape, -1.0 if bipolar else 0.0)
-    dy = np.zeros(x.shape) if grad else None
+    y, dy = np.empty(xf.size), np.zeros(xf.size) if grad else None
+    y.fill(-1.0 if bipolar else 0.0)
     for start in range(0, xf.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        live = np.flatnonzero(xf[block] != 0.0 if absolute else xf[block] > 0.0)
-        xl = xf[block].take(live)
+        xb = xf[start:start + _BLOCK]
+        live = (xb != 0.0 if absolute else xb > 0.0).nonzero()[0]
+        xl = xb.take(live)
         t, dt = _transmission(np.abs(xl) if absolute else xl, p.ampl, p, grad, _DERIV_WINDOW)
-        y.reshape(-1)[block][live] = 2.0 * t - 1.0 if bipolar else t
+        live += start  # block offsets to offsets in y, in place: no index-sized temporary
+        y[live] = 2.0 * t - 1.0 if bipolar else t
         if grad:
-            dy.reshape(-1)[block][live] = (scale * np.sign(xl) if absolute else scale) * dt
-    return y, dy
+            dy[live] = (scale * np.sign(xl) if absolute else scale) * dt
+    return y.reshape(x.shape), (dy.reshape(x.shape) if grad else None)
 
 
 def activate(x, act, grad=True):

@@ -352,10 +352,10 @@ def _cmd_wavepacket(cfg, args):
             raise InputError(f"k0x={cfg['k0x']:g} overflows the default barrier height") from None
     scenario = Scenario(kind=cfg["scenario"], **{
         f.name: cfg[f.name] for f in fields(Scenario) if f.name != "kind"})
+    outdir = Path(cfg["outdir"])
+    outdir.mkdir(parents=True, exist_ok=True)  # an unusable outdir fails before any step
     frames, summary = wp_run(scenario, cfg["steps"], snapshot_every=cfg["snapshot_every"],
                              nx=cfg["nx"], ny=cfg["ny"], dx=cfg["dx"], dt=cfg["dt"])
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     pgm = cfg["format"] == "pgm"
     frame_files = [str(outdir / f"frame_{step:06d}.{'pgm' if pgm else 'txt'}")
                    for step, _ in frames]

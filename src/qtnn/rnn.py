@@ -3,7 +3,8 @@
 The hidden state follows h_t = act(W_x x_t + W_h h_{t-1} + b_h) from a zero
 initial state; a phrase is classified from the final step's output through
 softmax.  Training is per-sequence SGD with full backpropagation through
-time and global-norm gradient clipping.
+time and global-norm gradient clipping; its forward computes values only and
+takes every step's activation derivative in one call per phrase.
 
 Tokens enter through a learned embedding: a token's row of ``embed`` is
 the input x_t.
@@ -104,20 +105,19 @@ def _unroll(model, tokens, lengths=None, grad=True):
 
     Row i runs ``lengths[i]`` steps (all L when ``lengths`` is None), then keeps
     its last state.  Returns states (L + 1, n, hidden), activation derivatives
-    (L, n, hidden), or None with ``grad`` off, and logits (n, classes).
+    (L, n, hidden; act'(0) past a row's end) or None, and logits (n, classes).
     """
     n, steps = tokens.shape
     states = np.zeros((steps + 1, n, model.n_hidden))
-    dacts = np.zeros((steps, n, model.n_hidden)) if grad else None
+    zs = np.zeros((steps, n, model.n_hidden))  # the pre-activations
     for t in range(steps):
         live = slice(None) if lengths is None else lengths > t
         drive = _rows_at(model.embed[tokens[live, t]], model.wx)
         z = drive + _rows_at(states[t, live], model.wh) + model.bh[0]
-        h, dh = activate(z, model.hidden_act, grad=grad)
         states[t + 1] = states[t]
-        states[t + 1, live] = h
-        if grad:
-            dacts[t, live] = dh
+        states[t + 1, live] = activate(z, model.hidden_act, grad=False)[0]
+        zs[t, live] = z
+    dacts = activate(zs, model.hidden_act)[1] if grad else None
     logits = _rows_at(states[-1], model.wy) + model.by[0]
     return states, dacts, logits
 
@@ -131,7 +131,7 @@ def rnn_forward(model, seq):
 
 def _backward(model, seq, states, dacts, dlogits):
     """Full-unroll BPTT; returns grads aligned with the trainable arrays."""
-    gwy = np.outer(states[-1], dlogits)
+    gwy = states[-1][:, None] * dlogits
     gby = dlogits.copy()
     gwx = np.zeros_like(model.wx)
     gwh = np.zeros_like(model.wh)
@@ -141,9 +141,9 @@ def _backward(model, seq, states, dacts, dlogits):
     for t in range(len(seq) - 1, -1, -1):
         dz = dh_next * dacts[t]
         token = seq[t]
-        gwx += np.outer(model.embed[token], dz)
+        gwx += model.embed[token][:, None] * dz
         gembed[token] += dz @ model.wx.T
-        gwh += np.outer(states[t], dz)
+        gwh += states[t][:, None] * dz
         gbh += dz
         dh_next = dz @ model.wh.T
     return gwx, gwh, gbh, gwy, gby, gembed

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import lattice_transmission
 from qtnn.activation import (
+    _BLOCK,
     Activation,
     BarrierParams,
     activate,
@@ -552,3 +553,28 @@ class TestMaskedOracle:
             gap = (e > 0.0) & ~(e < v0 - w) & ~(e > v0 + w) & ~(np.abs(e - v0) <= w)
             want[gap] = _ref_transmission_pieces(np.array([v0]), p, grad, window)[which][0]
             assert got.tobytes() == want.tobytes()
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("mode", ["rectified", "absolute", "bipolar"])
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK, _BLOCK + 1])
+    def test_sizes_around_the_block_bit_equal(self, mode, size):
+        p = BarrierParams(v0=2.0, ampl=5.0, mode=mode)
+        x = np.random.default_rng(size).normal(0.0, 0.6, size)
+        special = _oracle_inputs(p.v0, p.ampl)
+        # the specials end the array, so the last block's offsets are exercised
+        tail = special[: min(size, special.size)]
+        x[size - tail.size:] = tail
+        if size:
+            x[-1] = 1.5 * p.v0 / p.ampl  # a live last input, above the barrier
+        if size > _BLOCK:
+            x[_BLOCK - 1] = 0.5 * p.v0 / p.ampl  # and a live one before the block edge
+        for grad in (True, False):
+            y, dy = activate(x, Activation.qt(p), grad=grad)
+            y_ref, dy_ref = _ref_activate(x, p, grad)
+            assert y.shape == x.shape
+            assert y.tobytes() == y_ref.tobytes(), grad
+            if grad:
+                assert dy.tobytes() == dy_ref.tobytes()
+            else:
+                assert dy is None

@@ -153,17 +153,24 @@ class TestExitCodes:
                      "--report", str(tmp_path / "missing_dir" / "r.json")])
         assert code == EXIT_NUMERIC
 
-    @pytest.mark.parametrize("case", ["corpus-not-utf8", "corpus-dir", "checkpoint-dir",
-                                      "activation-out-dir", "spectrum-csv-dir",
+    @pytest.mark.parametrize("case", ["corpus-not-utf8", "corpus-field-too-large", "corpus-dir",
+                                      "checkpoint-dir", "activation-out-dir", "spectrum-csv-dir",
                                       "wavepacket-outdir-file"])
-    def test_unusable_path_exit_1_one_line(self, tmp_path, capsys, case):
-        a_dir, a_file = tmp_path / "dir", tmp_path / "file.csv"
+    def test_unusable_path_exit_1_one_line(self, tmp_path, capsys, monkeypatch, case):
+        a_dir, a_file, big = tmp_path / "dir", tmp_path / "file.csv", tmp_path / "big.csv"
         a_dir.mkdir()
         a_file.write_bytes(b"text,label\ngood,1\nbad \xff,0\n")
+        big.write_text("text,label\ngood,1\n" + "a" * 200_000 + ",0\n", encoding="utf-8")
         out = str(tmp_path / "r.json")
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("wp_run ran before the outdir was made")
+
+        monkeypatch.setattr(cli, "wp_run", no_steps)
         rnn = ["train", "rnn", "--hidden", "4", "--epochs", "1", "--out", out]
         cmd = {
             "corpus-not-utf8": [*rnn, "--corpus", str(a_file)],
+            "corpus-field-too-large": [*rnn, "--corpus", str(big)],
             "corpus-dir": [*rnn, "--corpus", str(a_dir)],
             "checkpoint-dir": [*rnn, "--checkpoint", str(a_dir)],
             "activation-out-dir": ["activation", "--out", str(a_dir)],
@@ -178,6 +185,8 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if case == "corpus-not-utf8":
             assert err == f"error: {a_file}: byte 22: not UTF-8 text\n"
+        if case == "corpus-field-too-large":
+            assert err == f"error: {big}: line 3: field larger than field limit (131072)\n"
 
     def test_help_lists_flags(self, capsys):
         assert main(["esn", "--help"]) == EXIT_OK

@@ -97,6 +97,46 @@ class TestBpttGradients:
         assert checked == 6
 
 
+def per_step_unroll(model, seq):
+    """_unroll's (states, dacts, logits) with one value-and-derivative call per token."""
+    states = np.zeros((len(seq) + 1, 1, model.n_hidden))
+    dacts = np.zeros((len(seq), 1, model.n_hidden))
+    for t, token in enumerate(seq):
+        z = model.embed[token] @ model.wx + states[t, 0] @ model.wh + model.bh[0]
+        states[t + 1, 0], dacts[t, 0] = activate(z, model.hidden_act, grad=True)
+    return states, dacts, (states[-1, 0] @ model.wy + model.by[0])[None]
+
+
+class TestDerivativeAfterTheSteps:
+    @pytest.mark.parametrize("kind", [Activation.qt(ampl=5.0), Activation.tanh()],
+                             ids=["qt-ampl5", "tanh"])
+    def test_bit_equal_to_per_step_derivatives(self, kind):
+        corpus = load_sentiment(bundled_sentiment_path())
+        longest = max(corpus.phrases, key=len)
+        seqs = [corpus.phrases[0][:1], corpus.phrases[1][:2], longest]
+        assert [len(seq) for seq in seqs] == [1, 2, 6]
+        for seed in range(3):
+            model = rnn_init(corpus.vocab_size, 8, 2, kind, Rng(seed))
+            model.bh[:] = Rng(seed + 100).normal_matrix(1, 8)
+            for w in (model.wx, model.wh):
+                w *= 3.0
+            lengths = np.array([len(seq) for seq in seqs])
+            tokens = np.zeros((len(seqs), lengths.max()), dtype=np.int64)
+            for row, seq in enumerate(seqs):
+                tokens[row, :len(seq)] = seq
+            block = _unroll(model, tokens, lengths)
+            for row, seq in enumerate(seqs):
+                want = per_step_unroll(model, seq)
+                alone = _unroll(model, np.asarray(seq)[None])
+                assert [a.tobytes() for a in alone] == [w.tobytes() for w in want], (seed, row)
+                # a padded row's live steps and final state match the phrase run alone
+                n = len(seq)
+                assert block[0][:n + 1, row].tobytes() == want[0][:, 0].tobytes()
+                assert block[0][-1, row].tobytes() == want[0][-1, 0].tobytes()
+                assert block[1][:n, row].tobytes() == want[1][:, 0].tobytes()
+                assert block[2][row].tobytes() == want[2][0].tobytes()
+
+
 class TestTraining:
     def test_zero_lr_unchanged(self):
         model = rnn_init(3, 4, 2, Activation.tanh(), init_stream(0))
