@@ -2,24 +2,25 @@
 
 The core quantity is the transmission coefficient T(E) of a particle of
 energy E hitting a rectangular potential barrier of height ``v0`` and width
-``a``::
+``a``.  Both sides of the barrier top take one sinc form::
 
-    E < v0 :  T = 1 / (1 - beta * sinh^2(kappa1 * a)),  beta = v0^2/(4 E (E-v0))
-    E > v0 :  T = 1 / (1 + beta * sin^2(kappa * a))
-    E = v0 :  T = 1 / (1 + m a^2 v0 / (2 hbar^2))       (limit of both sides)
+    T = 1 / (1 + c S(x)^2 / E),   c = m a^2 v0^2 / (2 hbar^2),
+    x = a sqrt(2 m |E - v0|) / hbar,   S = sinh(x)/x (E <= v0), sin(x)/x (E > v0)
 
-with kappa1 = sqrt(2 m (v0-E))/hbar and kappa = sqrt(2 m (E-v0))/hbar.
-Below the barrier beta is negative, so 1 - beta sinh^2 > 1 and T < 1; above
-it T oscillates and touches 1 exactly where sin(kappa a) = 0.  T(0) is 0 by
-its analytic limit, which makes the rectified mapping a ReLU-like gate with
-a strictly increasing sub-barrier flank.
+with S = 1 at x = 0.  Below the barrier S > 1 falls as E rises, so T < 1
+rises; above it T oscillates and touches 1 exactly where sin(x) = 0.  T(0)
+is 0, which makes the rectified mapping a ReLU-like gate with a strictly
+increasing sub-barrier flank.  Neither E = v0 nor E = 0 needs a special
+case, in T or in its closed-form derivative::
 
-T and its closed-form derivative act as a drop-in activation function: a
-pre-activation x is mapped to an energy through a scale factor ``ampl`` and
-one of three input modes, and the derivative follows by the chain rule.
+    dT/dE = c (S^2 - 2 E S S_E) / (E + c S^2)^2,   S_E = -+(m a^2 / hbar^2) S'(x)/x
 
-One kernel serves every caller: it classifies each energy once (sub-barrier,
-above-barrier, or the window around v0 between) and gathers each branch by index.
+(- below the barrier, + above), where S'(x)/x takes its Taylor series at
+small x, as its closed forms cancel there.
+
+T and dT/dE act as a drop-in activation function: a pre-activation x is
+mapped to an energy through a scale factor ``ampl`` and one of three input
+modes, and the derivative follows by the chain rule.
 """
 
 from __future__ import annotations
@@ -47,16 +48,9 @@ __all__ = [
 
 MODES = ("rectified", "absolute", "bipolar")
 
-# sinh(x)^2 overflows float64 near x ~ 355; beyond this T underflows anyway
-_SINH_ARG_LIMIT = 350.0
-
-# half-width of the window (relative to v0) routed to the E = v0 limit form
-_VALUE_WINDOW = 1e-12
-# wider window for the derivative, where cancellation sets in sooner
-_DERIV_WINDOW = 1e-9
-# energies below this fraction of v0 take the E = 0 right-limit slope: there
-# it equals dT/dE to rounding, while 4 E^2 in the closed form underflows
-_ZERO_WINDOW = 1e-20
+# below this x^2, S'(x)/x takes its Taylor series: the closed forms lose
+# about 3 eps / x^2 of it to cancellation
+_SERIES_CUT = 0.1
 # inputs per kernel pass: it bounds every temporary at 1 MiB, memory the
 # allocator reuses from call to call instead of mapping fresh pages
 _BLOCK = 131072
@@ -83,22 +77,23 @@ class BarrierParams:
                 raise InputError(f"BarrierParams.{name} must be positive")
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # the constants the kernel reads, derived once and required to be finite
+        # the constants the kernel reads, derived once; they and the slope at
+        # E = 0, 1 / (c S(x0)^2), must be finite
         v0, a, m, hbar = self.v0, self.a, self.m, self.hbar
-        try:
-            c = 2.0 * m / hbar**2  # kappa^2 = c * |E - v0|
-            top = m * a * a * v0 / (2.0 * hbar**2)
-            s0 = float(np.sinh(min(np.sqrt(c * v0) * a, _SINH_ARG_LIMIT)) ** 2)
-            k = {"c": c, "mh": m / hbar**2, "v0sq": v0**2, "zero_cut": _ZERO_WINDOW * v0,
-                 "t_top": 1.0 / (1.0 + top), "dt_zero": 4.0 / (v0 * s0),
-                 "dt_top": top * (1.0 / v0 + a * a * c / 3.0) / (1.0 + top) ** 2}
-        except (OverflowError, ZeroDivisionError):
-            k = {}
-        windows = {w: (v0 - w * v0, v0 + w * v0) for w in (_VALUE_WINDOW, _DERIV_WINDOW)}
-        if not k or not all(map(math.isfinite, [*k.values(), *sum(windows.values(), ())])):
+        with np.errstate(all="ignore"):  # NumPy scalars overflow quietly, floats raise
+            try:
+                q = 2.0 * m * a * a / hbar**2  # x^2 = q |E - v0|
+            except (OverflowError, ZeroDivisionError):
+                q = math.nan
+            c = 0.25 * q * v0 * v0
+            k = SimpleNamespace(q=q, c=c, cq=c * q)
+            x0 = np.sqrt(q * v0)
+            s0 = np.sinh(x0) / x0
+            slope0 = 1.0 / (c * s0 * s0)
+        if not all(map(math.isfinite, (*vars(k).values(), slope0))):
             raise InputError(
                 f"barrier v0={v0:g}, a={a:g}, m={m:g}, hbar={hbar:g} gives a non-finite constant")
-        object.__setattr__(self, "_derived", SimpleNamespace(**k, windows=windows))
+        object.__setattr__(self, "_derived", k)
 
 
 @dataclass(frozen=True)
@@ -154,99 +149,75 @@ class Activation:
         )
 
 
-def _transmission(x, scale, p, grad, window):
+def _transmission(x, scale, p, grad):
     """T(E) and, with ``grad``, dT/dE at the energies E = scale * x, x a 1-D array >= 0.
 
-    Energies below ``v0 - window`` take the sub-barrier form, those above
-    ``v0 + window`` the above-barrier form, and all between the E = v0 limit;
-    each branch maps what overflows to its limit, so NumPy's warnings are off.
+    Past the overflow limits the forms give NaN: T = 1 there (x = inf above
+    the barrier) and dT/dE = 0, there and below the barrier where c S^2
+    overflows and T is 0; so NumPy's warnings are off.
     """
     k = p._derived
-    lo, hi = k.windows[window]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = scale * x  # inf past the largest double: T = 1 there
-        t = np.empty(e.shape)  # and fill: np.full's Python wrapper is a fixed cost per call
-        t.fill(k.t_top)
-        dt = np.full(e.shape, k.dt_top) if grad else None
-        for branch, index in ((_sub_barrier, (e < lo).nonzero()[0]),
-                              (_above_barrier, (e > hi).nonzero()[0])):
+        w = (p.v0 - e) * k.q  # x^2 below the barrier, -x^2 above it
+        x2 = np.abs(w)
+        xs = np.sqrt(x2)
+        s = np.empty(e.shape)  # and fill: np.ones' Python wrapper is a fixed cost per call
+        s.fill(1.0)  # S at x = 0
+        ds = np.empty(e.shape) if grad else None  # S'(x)/x signed as S_E = -q/2 ds
+        for f, df, index in ((np.sinh, np.cosh, (w > 0.0).nonzero()[0]),
+                             (np.sin, np.cos, (w < 0.0).nonzero()[0])):
             if index.size:
-                t[index], branch_dt = branch(e.take(index), p, k, grad)
+                xb = xs.take(index)
+                fx = f(xb)
+                s[index] = fx / xb
                 if grad:
-                    dt[index] = branch_dt
+                    ds[index] = (xb * df(xb) - fx) / (w.take(index) * xb)  # w x = +-x^3
+        cs2 = s * s
+        cs2 *= k.c
+        t = 1.0 / (1.0 + cs2 / e)
+        np.fmin(t, 1.0, out=t)  # NaN -> 1
+        if not grad:
+            return t, None
+        small = (x2 < _SERIES_CUT).nonzero()[0]
+        if small.size:
+            ws = w.take(small)  # the series of S'(x)/x in w, on both sides
+            ds[small] = 1 / 3 + ws * (1 / 30 + ws * (1 / 840 + ws * (
+                1 / 45360 + ws * (1 / 3991680 + ws * (1 / 518918400)))))
+        # dT/dE = c (S^2 - 2 E S S_E) / (E + c S^2)^2, each term divided by
+        # E + c S^2 first so that no partial result overflows a finite slope
+        den = e + cs2
+        dt = e * s
+        dt /= den
+        dt *= ds
+        dt *= k.cq
+        dt += cs2 / den
+        dt /= den
+    dt[np.isnan(dt)] = 0.0
     return t, dt
 
 
-def _sub_barrier(eb, p, k, grad):
-    v0, a = p.v0, p.a
-    d = v0 - eb
-    k1a = np.sqrt(k.c * d) * a
-    # inf/nan slopes below _ZERO_WINDOW * v0 give way to the E = 0 limit at the end
-    g = k.v0sq / (4.0 * eb * d)
-    sh = np.sinh(np.minimum(k1a, _SINH_ARG_LIMIT))
-    s = sh * sh
-    tb = 1.0 / (1.0 + g * s)
-    if grad:
-        gp = k.v0sq * (2.0 * eb - v0) / (4.0 * eb**2 * d**2)
-        # sinh(2z) = 2 sinh(z) cosh(z) keeps the argument in range
-        sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-k.mh / (k1a / a))
-        db = -(gp * s + g * sp) * tb * tb
-    # T underflows below ~1e-300 past this point; report 0 rather than overflow
-    gated = k1a >= _SINH_ARG_LIMIT
-    tb[gated] = 0.0
-    if not grad:
-        return tb, None
-    db[gated] = 0.0
-    # right-limit slope: T ~ 4 E / (v0 sinh^2(a sqrt(2 m v0)/hbar))
-    db[eb < k.zero_cut] = k.dt_zero
-    return tb, db
-
-
-def _above_barrier(ea, p, k, grad):
-    v0, a = p.v0, p.a
-    al = ea - v0
-    ka = np.sqrt(k.c * al) * a
-    g = k.v0sq / (4.0 * ea * al)
-    s = np.sin(ka) ** 2
-    # past ~8e307 the closed forms overflow into NaN (sin(inf), inf/inf): T = 1, dT = 0 there
-    ta = 1.0 / (1.0 + g * s)
-    ta[np.isnan(ta)] = 1.0
-    if not grad:
-        return ta, None
-    gp = -k.v0sq * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
-    sp = a * np.sin(2.0 * ka) * (k.mh / (ka / a))
-    da = -(gp * s + g * sp) * ta * ta
-    da[np.isnan(da)] = 0.0
-    return ta, da
-
-
-def _energy_transmission(energy, params, grad, window):
+def _energy_transmission(energy, params, grad):
     e = np.asarray(energy, dtype=np.float64) + 0.0  # -0.0 -> +0.0, all else unchanged
     if not (e >= 0.0).all():
         raise InputError("energy must be non-negative")
-    t, dt = _transmission(e.ravel(), 1.0, params or BarrierParams(), grad, window)
+    t, dt = _transmission(e.ravel(), 1.0, params or BarrierParams(), grad)
     out = (dt if grad else t).reshape(e.shape)
     return float(out) if e.ndim == 0 else out
 
 
 def qt_transmission(energy, params=None):
     """Transmission coefficient T(E) in [0, 1]; scalar in, scalar out."""
-    return _energy_transmission(energy, params, False, _VALUE_WINDOW)
+    return _energy_transmission(energy, params, False)
 
 
 def qt_transmission_derivative(energy, params=None):
-    """Closed-form dT/dE; at E = v0 the common one-sided limit, at E = 0 the right limit.
-
-    Energies below ``1e-20 * v0`` also take the right limit, which equals the
-    closed form there to rounding while the closed form underflows.
-    """
-    return _energy_transmission(energy, params, True, _DERIV_WINDOW)
+    """Closed-form dT/dE; at E = v0 the common one-sided limit, at E = 0 the right limit."""
+    return _energy_transmission(energy, params, True)
 
 
 def _qt_activate(x, p, grad):
-    # the live inputs (x > 0; x != 0 in absolute mode) of each block go to the
-    # kernel; value-only calls keep the derivative's window around v0, so the
-    # values do not depend on whether the derivative was asked for
+    # the live inputs (x > 0; x != 0 in absolute mode) of each block go to the kernel
     absolute, bipolar = p.mode == "absolute", p.mode == "bipolar"
     scale = 2.0 * p.ampl if bipolar else p.ampl
     xf = x.ravel()
@@ -256,7 +227,7 @@ def _qt_activate(x, p, grad):
         xb = xf[start:start + _BLOCK]
         live = (xb != 0.0 if absolute else xb > 0.0).nonzero()[0]
         xl = xb.take(live)
-        t, dt = _transmission(np.abs(xl) if absolute else xl, p.ampl, p, grad, _DERIV_WINDOW)
+        t, dt = _transmission(np.abs(xl) if absolute else xl, p.ampl, p, grad)
         live += start  # block offsets to offsets in y, in place: no index-sized temporary
         y[live] = 2.0 * t - 1.0 if bipolar else t
         if grad:

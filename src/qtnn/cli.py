@@ -55,7 +55,7 @@ from .fnn import fnn_init, fnn_train
 from .numerics import InputError, NumericalFailure, ShapeError, SingularMatrixError
 from .rnn import rnn_init, rnn_train
 from .trainutil import TrainConfig, TrainingDiverged, init_stream
-from .wavepacket import SCENARIO_KINDS, Scenario, frame_to_pgm16, frame_to_text, wp_run
+from .wavepacket import SCENARIO_KINDS, Scenario, frame_to_pgm16, frame_to_text, wp_init, wp_run
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -352,10 +352,11 @@ def _cmd_wavepacket(cfg, args):
             raise InputError(f"k0x={cfg['k0x']:g} overflows the default barrier height") from None
     scenario = Scenario(kind=cfg["scenario"], **{
         f.name: cfg[f.name] for f in fields(Scenario) if f.name != "kind"})
+    # the grid is checked before --outdir is made, and --outdir before any step
+    grid = wp_init(scenario, nx=cfg["nx"], ny=cfg["ny"], dx=cfg["dx"], dt=cfg["dt"])
     outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)  # an unusable outdir fails before any step
-    frames, summary = wp_run(scenario, cfg["steps"], snapshot_every=cfg["snapshot_every"],
-                             nx=cfg["nx"], ny=cfg["ny"], dx=cfg["dx"], dt=cfg["dt"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    frames, summary = wp_run(grid, cfg["steps"], snapshot_every=cfg["snapshot_every"])
     pgm = cfg["format"] == "pgm"
     frame_files = [str(outdir / f"frame_{step:06d}.{'pgm' if pgm else 'txt'}")
                    for step, _ in frames]

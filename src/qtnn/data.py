@@ -242,16 +242,16 @@ def load_sentiment(path):
     vocab = {}
     try:
         reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]  # a row's last physical line
     except UnicodeDecodeError as err:
         raise FormatError(f"{path}: byte {err.start}: not UTF-8 text") from None
     except csv.Error as err:  # e.g. a field over csv's size limit
         raise FormatError(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise FormatError(f"{path}: empty file, expected header line 'text,label'")
-    if [h.strip().lower() for h in rows[0]] != ["text", "label"]:
+    if [h.strip().lower() for h in rows[0][1]] != ["text", "label"]:
         raise FormatError(f"{path}: line 1: header must be 'text,label'")
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 2:

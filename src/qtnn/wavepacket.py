@@ -249,15 +249,14 @@ def probability_partition(grid):
     }
 
 
-def wp_run(scenario, n_steps, snapshot_every=0, nx=400, ny=400, dx=0.1, dt=0.005):
-    """Run a scenario, collecting density frames and the final partition.
+def wp_run(grid, n_steps, snapshot_every=0):
+    """Step a grid from ``wp_init``, collecting density frames and the final partition.
 
     ``snapshot_every=0`` keeps only the final frame.  Returns (frames,
     summary) where frames is a list of (step, density-matrix) pairs.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
-    grid = wp_init(scenario, nx=nx, ny=ny, dx=dx, dt=dt)
     frames = []
     if snapshot_every:
         frames.append((0, grid.density()))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import lattice_transmission
 from qtnn.activation import (
     _BLOCK,
+    _transmission,
     Activation,
     BarrierParams,
     activate,
@@ -94,6 +97,18 @@ class TestLatticeLimit:
         assert errors[-1] < 1e-4, errors
 
 
+def _complex_step_slope(e, v0, a, h=1e-30):
+    """Im T(E + ih) / h for m = hbar = 1, T one analytic function of w = 2 a^2 (v0 - E)."""
+    z = e + 1j * h
+    w = 2.0 * a * a * (v0 - z)
+    with np.errstate(invalid="ignore"):  # 0/0 at w = 0, replaced below
+        s = np.sinh(np.sqrt(w)) / np.sqrt(w)
+    # the complex quotient cancels near w = 0; the Taylor series of S does not
+    near = np.abs(w) < 1e-2
+    s[near] = sum(w[near] ** k / math.factorial(2 * k + 1) for k in range(6))
+    return (1.0 / (1.0 + 0.5 * a * a * v0 * v0 * s * s / z)).imag / h
+
+
 class TestTransmissionProperties:
     def test_bounds_on_dense_grid(self):
         for v0, a in [(2.0, 1.0), (0.5, 3.0), (5.0, 0.4)]:
@@ -158,6 +173,18 @@ class TestTransmissionProperties:
                 assert abs(an - fd) < 1e-8
             else:
                 assert an == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("v0, a", [(2.0, 1.0), (0.7, 2.0), (5.0, 0.3), (3.0, 1.7)])
+    def test_derivative_matches_complex_step(self, v0, a):
+        # a complex step takes no difference, so it resolves dT/dE to rounding,
+        # also on the ulps and bands around v0 where the closed forms cancel
+        e = np.concatenate(
+            [v0 + np.arange(-64, 65) * np.spacing(v0), np.linspace(0.0, 6.0 * v0, 3001)]
+            + [v0 * np.linspace(1.0 - rel, 1.0 + rel, 401) for rel in (3e-9, 1e-6, 1e-3)])
+        want = _complex_step_slope(e, v0, a)
+        got = qt_transmission_derivative(e, BarrierParams(v0=v0, a=a))
+        resolved = np.abs(want) > 1e-3 * np.abs(want).max()
+        assert np.abs(got / want - 1.0)[resolved].max() < 1e-12
 
     def test_derivative_at_resonance_is_zero(self):
         e_res = 2.0 + np.pi**2 / 2.0
@@ -395,116 +422,24 @@ class TestHarmonicSpectrum:
         assert len(lines) == 1 + len(rep.frequencies)
 
 
-# The masked kernel that the index-gathering one replaced, kept verbatim as
-# the oracle: every value and derivative must match it bit for bit, except
-# at the window-edge energies it left in no branch (it gave 0 there).
-_REF_SINH_ARG_LIMIT = 350.0
-_REF_DERIV_WINDOW = 1e-9
-_REF_ZERO_WINDOW = 1e-20
-
-
-def _ref_transmission_pieces(energy, p, want_derivative, rel_window):
-    e = np.asarray(energy, dtype=np.float64)
-    if np.any(e < 0.0):
-        raise InputError("energy must be non-negative")
-    t = np.zeros_like(e)
-    dt = np.zeros_like(e) if want_derivative else None
-
-    v0, a, m, hbar = p.v0, p.a, p.m, p.hbar
-    c = 2.0 * m / hbar**2
-    window = rel_window * v0
-
-    below = (e > 0.0) & (e < v0 - window)
-    above = e > v0 + window
-    at = (np.abs(e - v0) <= window) & (e > 0.0)
-
-    if below.any():
-        eb = e[below]
-        k1a = np.sqrt(c * (v0 - eb)) * a
-        safe = k1a < _REF_SINH_ARG_LIMIT
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            g = v0**2 / (4.0 * eb * (v0 - eb))
-            sh = np.sinh(np.minimum(k1a, _REF_SINH_ARG_LIMIT))
-            s = sh * sh
-            tb = np.where(safe, 1.0 / (1.0 + g * s), 0.0)
-            t[below] = tb
-            if want_derivative:
-                gp = v0**2 * (2.0 * eb - v0) / (4.0 * eb**2 * (v0 - eb) ** 2)
-                k1 = k1a / a
-                sp = a * 2.0 * sh * np.sqrt(1.0 + s) * (-(m / hbar**2) / k1)
-                dt[below] = np.where(safe, -(gp * s + g * sp) * tb * tb, 0.0)
-
-    if above.any():
-        ea = e[above]
-        al = ea - v0
-        ka = np.sqrt(c * al) * a
-        with np.errstate(over="ignore"):
-            g = v0**2 / (4.0 * ea * al)
-            s = np.sin(ka) ** 2
-            ta = 1.0 / (1.0 + g * s)
-            t[above] = ta
-            if want_derivative:
-                gp = -(v0**2) * (2.0 * ea - v0) / (4.0 * ea**2 * al**2)
-                k = ka / a
-                sp = a * np.sin(2.0 * ka) * ((m / hbar**2) / k)
-                dt[above] = -(gp * s + g * sp) * ta * ta
-
-    if at.any():
-        barrier_term = m * a * a * v0 / (2.0 * hbar**2)
-        t[at] = 1.0 / (1.0 + barrier_term)
-        if want_derivative:
-            dt[at] = (
-                barrier_term * (1.0 / v0 + a * a * c / 3.0) / (1.0 + barrier_term) ** 2
-            )
-
-    if want_derivative:
-        near_zero = e < _REF_ZERO_WINDOW * v0
-        if near_zero.any():
-            s0 = np.sinh(min(np.sqrt(c * v0) * a, _REF_SINH_ARG_LIMIT)) ** 2
-            dt[near_zero] = 4.0 / (v0 * s0)
-    return t, dt
-
-
-def _ref_qt_elementwise(x, p, grad):
-    if p.mode == "absolute":
-        energy = p.ampl * np.abs(x)
-        t, dt = _ref_transmission_pieces(energy, p, grad, _REF_DERIV_WINDOW)
-        return t, (p.ampl * np.sign(x) * dt if grad else None)
-    energy = p.ampl * np.maximum(x, 0.0)
-    t, dt = _ref_transmission_pieces(energy, p, grad, _REF_DERIV_WINDOW)
-    active = x > 0.0
-    if p.mode == "bipolar":
-        y = np.where(active, 2.0 * t - 1.0, -1.0)
-        dy = np.where(active, 2.0 * p.ampl * dt, 0.0) if grad else None
-    else:
-        y = np.where(active, t, 0.0)
-        dy = np.where(active, p.ampl * dt, 0.0) if grad else None
-    return y, dy
-
-
-def _ref_gap(x, p):
-    """Inputs whose energy the masked kernel put in none of its branches."""
-    e = p.ampl * np.abs(x)
-    w = _REF_DERIV_WINDOW * p.v0
+def _one_call_activate(x, p, grad):
+    """activate from one _transmission call on the whole 1-D array |x|, then each mode's map."""
+    t, dt = _transmission(np.abs(x).ravel(), p.ampl, p, grad)
+    t = t.reshape(x.shape)
+    dt = dt.reshape(x.shape) if grad else None
     live = (x != 0.0) if p.mode == "absolute" else (x > 0.0)
-    return (live & (e > 0.0) & ~(e < p.v0 - w) & ~(e > p.v0 + w)
-            & ~(np.abs(e - p.v0) <= w))
-
-
-def _ref_activate(x, p, grad):
-    """The oracle, with its gap inputs given the E = v0 limit form."""
-    y, dy = _ref_qt_elementwise(x, p, grad)
-    gap = _ref_gap(x, p)
-    if gap.any():
-        top = _ref_qt_elementwise(np.copysign(p.v0 / p.ampl, x[gap]), p, grad)
-        y[gap] = top[0]
-        if grad:
-            dy[gap] = top[1]
+    if p.mode == "bipolar":
+        y = np.where(live, 2.0 * t - 1.0, -1.0)
+        dy = np.where(live, 2.0 * p.ampl * dt, 0.0) if grad else None
+    else:
+        y = np.where(live, t, 0.0)
+        scale = p.ampl * np.sign(x) if p.mode == "absolute" else p.ampl
+        dy = np.where(live, scale * dt, 0.0) if grad else None
     return y, dy
 
 
 def _oracle_inputs(v0, ampl):
-    """Zeros, subnormals, huge values and ulp grids around v0 and the window edges."""
+    """Zeros, subnormals, huge values and ulp grids around v0, v0 (1 +- 1e-9), v0 (1 +- 1e-12)."""
     points = [0.0, 5e-324, 1e-310, 1e300]
     for centre in v0 * np.array([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0 + 1e-12]):
         c = centre / ampl
@@ -513,11 +448,12 @@ def _oracle_inputs(v0, ampl):
     return np.concatenate([points, -points])
 
 
-class TestMaskedOracle:
+class TestOneCallOracle:
+    """activate's blocks and gathers give the bits of one kernel call on every input."""
+
     @pytest.mark.parametrize("mode", ["rectified", "absolute", "bipolar"])
-    def test_bit_equal_to_masked_kernel(self, mode):
+    def test_bit_equal_to_one_kernel_call(self, mode):
         rng = np.random.default_rng(2024)
-        gaps = 0
         for v0 in (0.7, 2.0, 3.0):
             for ampl in (1.0, 2.0, 5.0):
                 p = BarrierParams(v0=v0, ampl=ampl, mode=mode)
@@ -526,33 +462,28 @@ class TestMaskedOracle:
                     x = rng.normal(0.0, 1.5 * v0 / ampl, shape)
                     where = rng.choice(x.size, min(x.size, special.size), replace=False)
                     x.flat[where] = special[: where.size]
-                    gaps += int(_ref_gap(x, p).sum())
                     if shape == (64, 512):
                         x = x.T  # a strided view
                     for grad in (True, False):
                         y, dy = activate(x, Activation.qt(p), grad=grad)
-                        y_ref, dy_ref = _ref_activate(x, p, grad)
+                        y_ref, dy_ref = _one_call_activate(x, p, grad)
                         assert y.shape == x.shape
                         assert y.tobytes() == y_ref.tobytes(), (v0, ampl, shape, grad)
                         if grad:
                             assert dy.tobytes() == dy_ref.tobytes(), (v0, ampl, shape)
                         else:
                             assert dy is None
-        assert gaps > 0  # the grids do reach the old gap
 
     @pytest.mark.parametrize("v0", [0.7, 2.0, 3.0])
     def test_transmission_functions_bit_equal(self, v0):
+        # T(E) and dT/dE read the bits of activate at ampl 1, which asks for both at once
         p = BarrierParams(v0=v0)
         e = np.abs(np.concatenate([
             _oracle_inputs(v0, 1.0), np.random.default_rng(5).uniform(0.0, 6.0 * v0, 5000)]))
-        for got, grad, window in ((qt_transmission(e, p), False, 1e-12),
-                                  (qt_transmission_derivative(e, p), True, 1e-9)):
-            which = 1 if grad else 0
-            want = _ref_transmission_pieces(e, p, grad, window)[which]
-            w = window * v0
-            gap = (e > 0.0) & ~(e < v0 - w) & ~(e > v0 + w) & ~(np.abs(e - v0) <= w)
-            want[gap] = _ref_transmission_pieces(np.array([v0]), p, grad, window)[which][0]
-            assert got.tobytes() == want.tobytes()
+        e = e[e > 0.0]
+        y, dy = activate(e, Activation.qt(p))
+        assert qt_transmission(e, p).tobytes() == y.tobytes()
+        assert qt_transmission_derivative(e, p).tobytes() == dy.tobytes()
 
 
 class TestBlockEdges:
@@ -571,7 +502,7 @@ class TestBlockEdges:
             x[_BLOCK - 1] = 0.5 * p.v0 / p.ampl  # and a live one before the block edge
         for grad in (True, False):
             y, dy = activate(x, Activation.qt(p), grad=grad)
-            y_ref, dy_ref = _ref_activate(x, p, grad)
+            y_ref, dy_ref = _one_call_activate(x, p, grad)
             assert y.shape == x.shape
             assert y.tobytes() == y_ref.tobytes(), grad
             if grad:

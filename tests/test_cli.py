@@ -569,12 +569,17 @@ class TestUncomputableValues:
         (["wavepacket", "--k0x", "1e300"], "k0x=1e+300 overflows the default barrier height"),
         (["wavepacket", "--dx", "0"], "dx must be positive, got 0.0"),
         (["wavepacket", "--dx", "-0.1"], "dx must be positive, got -0.1"),
+        (["wavepacket", "--nx", "4", "--ny", "4", "--steps", "1"], "grid must be at least 16x16"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
     def test_exit_1_with_one_line(self, tmp_path, capsys, cmd, message):
+        frames = tmp_path / "frames"
+        if cmd[0] == "wavepacket":
+            cmd = [*cmd, "--outdir", str(frames)]
         code = main([*cmd, "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT
         line = one_error_line(capsys)
         assert line.startswith("error: ") and message in line
+        assert not frames.exists()  # a rejected run leaves no frame directory
 
     @pytest.mark.parametrize("model", ["fnn", "bnn"])
     @pytest.mark.parametrize("empty, message", [

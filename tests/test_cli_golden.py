@@ -10,7 +10,11 @@ to them means a report or artifact changed for a valid input.  The activation,
 spectrum and wavepacket values were recorded again when the options that reach
 no output left those commands (activation's mode, ampl and seed; the seed of
 spectrum and wavepacket): the reports lost only those keys, and every
-artifact kept its bytes.
+artifact kept its bytes.  The seven runs whose outputs pass through the qt
+kernel (activation, spectrum, train-fnn/rnn/bnn, config-rnn, config-esn) were
+recorded again when T(E) and dT/dE took the sinc form, which moves values by
+a few ulps: the curve and spectrum CSVs, the checkpoints' weights, the RNN's
+losses and the ESN's forecast errors in their last digits.
 """
 
 import hashlib
@@ -60,25 +64,25 @@ RUNS = {
 
 GOLDEN = {
     "activation":
-        "d9fd35450eeb3a8ba178b0e1c90e80b7ee712ae1d9c200d7158abc437cff9bcd",
+        "2769b801208926f21b471a87a21593f079390da30a6974f412cb45a90f03393f",
     "config-bnn":
         "736641c79fd33ee24575b73ee742cf825bd583299061a63c9fd9191f6685464c",
     "config-esn":
-        "eaf58736ce7479471cafbcf1d3f67d9ccbbba685a0d22476252dea7793638553",
+        "71b4a887bbaf4676a44ac8ce43e61bc895133f0c93f767ed2e6794f5ec6e1111",
     "config-fnn":
         "b3013cc4e10cba70b36b9b1ae33957615bccf021c85ad4074e2287158ef01710",
     "config-rnn":
-        "2cd57bef1baa043ad1fd31fc11b316e96e998b78e589f1a67681ef4dff262437",
+        "8d4430ef724bfa70cfa3cdaafba31be88ffeb910de6f193da4480deaee0ef803",
     "esn":
         "e2854f1971f31b499246ce19583d5ed2f2d7add20cf244270e1b37c894ac263b",
     "spectrum":
-        "4ae0796b3d3c19abced696f58e2d6663330a51f91fb6ab4ac06992be4318fd17",
+        "6916a681fb42a5ddfd6436a0271908b92096f5ff8665243da08aef18c471ab28",
     "train-bnn":
-        "11bb3933266748e6aeb9438a33792f69dab8f27fc5d05090d9e8a267a80d7831",
+        "67b51bdda918fbce775165d81f28824288edb500893ace1404d116c7dfe79297",
     "train-fnn":
-        "5992b84e5423ad5ac3a72c5b6a899fbd4a96f7890814830891cba686826cf4fe",
+        "b79c53e80c56f141a96e52e15c3b65a604cc18240404ba8043363f3bc171b1dd",
     "train-rnn":
-        "ea46190ae01e416d7cd8d17d8af20cd9307587e7f5af319a2b3dd565cb4879d9",
+        "df297c671ad0640a4705bd750155f4dd029fafc6df5759f5e5c2c315af702e8b",
     "wavepacket":
         "a705961d34ab51d2e6382cb08cd8325a0c5ff064e84d0636e987623e6c20cc0d",
     "wavepacket-pgm-double-slit":

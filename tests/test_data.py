@@ -137,6 +137,13 @@ class TestSentiment:
         with pytest.raises(FormatError, match="label"):
             load_sentiment(path)
 
+    def test_errors_name_the_physical_line(self, tmp_path):
+        # a quoted text spanning two lines puts the bad label on line 4, not record 3
+        path = tmp_path / "c.csv"
+        path.write_text('text,label\n"good\nmulti line",1\nbad,7\n')
+        with pytest.raises(FormatError, match="line 4: label must be 0 or 1, got '7'"):
+            load_sentiment(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("phrase,sentiment\nok,1\n")

@@ -237,29 +237,29 @@ class TestEdgeGrid:
 
 class TestRun:
     def test_partition_sums_to_one(self):
-        frames, summary = wp_run(small_scenario(), 150, snapshot_every=0, **SMALL)
+        frames, summary = wp_run(wp_init(small_scenario(), **SMALL), 150)
         total = summary["reflected"] + summary["residual"] + summary["transmitted"]
         assert abs(total - 1.0) < 1e-4
         assert len(frames) == 1
 
     def test_sub_barrier_transmission_fraction(self):
-        _, summary = wp_run(small_scenario(), 300, snapshot_every=0, **SMALL)
+        _, summary = wp_run(wp_init(small_scenario(), **SMALL), 300)
         assert 0.0 < summary["transmitted"] < 0.5
 
     def test_snapshot_cadence(self):
-        frames, _ = wp_run(small_scenario(), 100, snapshot_every=25, **SMALL)
+        frames, _ = wp_run(wp_init(small_scenario(), **SMALL), 100, snapshot_every=25)
         assert [s for s, _ in frames] == [0, 25, 50, 75, 100]
 
     def test_double_slit_stays_symmetric(self):
         scenario = small_scenario(kind="double_slit", slit_width=0.4, slit_sep=1.2,
                                   v0=20.0)
-        frames, _ = wp_run(scenario, 150, snapshot_every=0, **SMALL)
+        frames, _ = wp_run(wp_init(scenario, **SMALL), 150)
         final = frames[-1][1]
         assert np.abs(final - final[:, ::-1]).max() < 1e-6
 
     def test_bad_steps(self):
         with pytest.raises(InputError):
-            wp_run(small_scenario(), 0, **SMALL)
+            wp_run(wp_init(small_scenario(), **SMALL), 0)
 
     def test_four_phase_sequence_at_default_scale(self, barrier_run):
         # approach, barrier interaction, then a reflected/transmitted split
@@ -315,24 +315,22 @@ class TestRun:
             if step in (3, 6):
                 assert run.grid(step).psi.tobytes() == grid.psi.tobytes()
                 assert run.grid(step).steps_taken == step
-        frames, _ = wp_run(scenario, 6, snapshot_every=3, **SMALL)
+        frames, _ = wp_run(wp_init(scenario, **SMALL), 6, snapshot_every=3)
         for step, frame in frames:
             assert run.grid(step).density().tobytes() == frame.tobytes()
 
     def test_grid_refinement_transmission_stable(self):
         # halving dx and dt moves the transmitted fraction by < 5%
         scenario = small_scenario()
-        _, coarse = wp_run(scenario, 300, snapshot_every=0, **SMALL)
-        _, fine = wp_run(scenario, 600, snapshot_every=0,
-                         nx=256, ny=256, dx=0.05, dt=0.0025)
+        _, coarse = wp_run(wp_init(scenario, **SMALL), 300)
+        _, fine = wp_run(wp_init(scenario, nx=256, ny=256, dx=0.05, dt=0.0025), 600)
         rel = abs(fine["transmitted"] - coarse["transmitted"]) / fine["transmitted"]
         assert rel < 0.05
 
 
 class TestExports:
     def test_text_round_trip(self, tmp_path):
-        frames, _ = wp_run(small_scenario(), 5, snapshot_every=0, nx=32, ny=32,
-                           dx=0.4, dt=0.005)
+        frames, _ = wp_run(wp_init(small_scenario(), nx=32, ny=32, dx=0.4, dt=0.005), 5)
         path = tmp_path / "frame.txt"
         frame_to_text(frames[0][1], path)
         back = np.loadtxt(path)
