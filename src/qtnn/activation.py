@@ -267,32 +267,34 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_crossentropy(logits, onehot):
+def softmax_crossentropy(logits, labels):
     """Softmax probabilities, mean cross-entropy and the logit gradient.
 
-    The gradient is (probs - onehot) / batch, i.e. the output-layer error
-    averaged so that learning rates are comparable across batch sizes.
+    ``labels`` holds one class index per row of the 2-D ``logits``.  The
+    gradient is probs, less 1 at each row's label, over the batch size: the
+    output-layer error averaged so that learning rates are comparable across
+    batch sizes.
     """
+    probs, losses = _crossentropy_rows(logits, labels)
+    grad = probs.copy()
+    grad[np.arange(losses.size), labels] -= 1.0
+    grad /= losses.size
+    return probs, float(losses.mean()), grad
+
+
+def _crossentropy_rows(logits, labels):
+    """Softmax probabilities and per-row cross-entropy of 2-D logits against class indices."""
     z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(onehot, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-    if y.ndim == 1:
-        y = y[None, :]
-    if z.shape != y.shape:
-        raise ShapeError(f"logits {z.shape} and onehot {y.shape} differ")
-    if np.any(np.abs(y.sum(axis=1) - 1.0) > 1e-9):
-        raise InputError("each onehot row must sum to 1")
-    probs = softmax(z)
-    return probs, float(_crossentropy_rows(z, y).mean()), (probs - y) / z.shape[0]
-
-
-def _crossentropy_rows(z, y):
-    """Cross-entropy of each row of 2-D logits ``z`` against one-hot rows ``y``."""
+    labels = np.asarray(labels)
+    if z.ndim != 2 or labels.shape != z.shape[:1]:
+        raise ShapeError(f"logits {z.shape} need one label per row, got labels {labels.shape}")
+    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= z.shape[1])).any():
+        raise InputError(f"labels must be integer class indices in [0, {z.shape[1]})")
     shifted = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    # -sum_i y_i log p_i computed from logits, no log of an underflowed prob
-    return log_norm - (shifted * y).sum(axis=1)
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    # -log p_label computed from logits, no log of an underflowed prob
+    return e / norm, np.log(norm[:, 0]) - shifted[np.arange(z.shape[0]), labels]
 
 
 @dataclass

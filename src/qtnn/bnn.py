@@ -83,23 +83,24 @@ def bnn_init(n_features, n_hidden, n_classes, hidden_act, rng, std_init=0.01, n_
                     f.b1, f.b2, hidden_act, n_samples).check()
 
 
-def _forward_with_weights(model, x, w1s, w2s, onehot=None):
-    # prediction (no onehot) never reads dh
+def _forward_with_weights(model, x, w1s, w2s, labels=None):
+    # prediction (no labels) never reads dh
     return _dense_forward(
-        x, x @ w1s + model.b1, w2s, model.b2, model.hidden_act, onehot, grad=onehot is not None
+        x, x @ w1s + model.b1, w2s, model.b2, model.hidden_act, labels, grad=labels is not None
     )
 
 
-def bnn_sample_forward(model, x, rng, onehot=None):
+def bnn_sample_forward(model, x, rng, labels=None):
     """One stochastic forward pass: draw eps per weight entry, then run.
 
     Returns (probs, cache, (w1, w2) as sampled, loss, dlogits); all of eps_1
-    (row-major) is drawn before eps_2.  Without ``onehot`` the loss, dlogits
-    and the cached activation derivative ``cache["dh"]`` are None.
+    (row-major) is drawn before eps_2.  Without ``labels`` (one class index
+    per row of ``x``) the loss, dlogits and the cached activation derivative
+    ``cache["dh"]`` are None.
     """
     x = _check_input(x, model.w1_mean.shape[0])
     w1s, w2s = _sample_weights(model, rng)
-    probs, cache, loss, dlogits = _forward_with_weights(model, x, w1s, w2s, onehot)
+    probs, cache, loss, dlogits = _forward_with_weights(model, x, w1s, w2s, labels)
     return probs, cache, (w1s, w2s), loss, dlogits
 
 
@@ -152,7 +153,7 @@ def bnn_train(model, data, cfg, eval_data=None):
     noise = chain.from_iterable(chunks)  # drops each chunk before asking for the next
 
     def forward(idx):
-        xb, yb = data.rows(idx), data.onehot(idx)
+        xb, yb = data.rows(idx), data.labels[idx]
         eps1, w2_noise = next(noise)
         z1 = xb @ model.w1_mean + model.b1
         z1 += np.sqrt((xb[0] ** 2) @ w1_var) * eps1
@@ -190,7 +191,8 @@ def bnn_evaluate(model, data, rng):
     for start in range(0, n, EVAL_BATCH):
         rows = slice(start, start + EVAL_BATCH)
         probs = bnn_predict(model, data.rows(rows), rng.spawn(start))
-        correct += int((probs.argmax(axis=1) == data.labels[rows]).sum())
-        true_p = np.clip((probs * data.onehot(rows)).sum(axis=1), 1e-300, None)
+        labels = data.labels[rows]
+        correct += int((probs.argmax(axis=1) == labels).sum())
+        true_p = np.clip(probs[np.arange(labels.size), labels], 1e-300, None)
         total_loss += float(-np.log(true_p).sum())
     return correct / n, total_loss / n

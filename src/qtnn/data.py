@@ -7,9 +7,9 @@ integrated on the fly.  The dataset root directory is ``./data`` unless
 the ``QTNN_DATA_DIR`` environment variable points elsewhere.
 
 Images and labels stay in memory as the uint8 codes read from the file; a
-``LabeledDataset`` divides a batch's rows by 255 (``rows``) and makes its
-one-hot label rows (``onehot``) when the batch is read, so no float64 copy
-of a whole split is ever made.
+``LabeledDataset`` divides a batch's rows by 255 (``rows``) when the batch is
+read, so no float64 copy of a whole split is ever made, and its labels stay
+the class indices that the loss takes.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class LabeledDataset:
     images, at 1/8 the memory of float64) and turned into float64 only for
     the rows a caller asks for, through :meth:`rows`.  Float inputs go in
     as ``codes`` with the default ``scale`` of 1.  The labels are kept as
-    class indices in [0, len(class_names)) and :meth:`onehot` makes the
-    one-hot rows of the ones a caller asks for.
+    class indices in [0, len(class_names)), the form the loss takes.
     """
 
     codes: np.ndarray   # samples x features, values in [0, scale]
@@ -95,10 +94,6 @@ class LabeledDataset:
     def rows(self, index):
         """Float64 inputs of the rows ``codes[index]``, each code divided by scale."""
         return np.divide(self.codes[index], self.scale, dtype=np.float64)
-
-    def onehot(self, index):
-        """Float64 one-hot rows of the labels ``labels[index]``."""
-        return np.eye(self.n_classes)[self.labels[index]]
 
     @property
     def inputs(self):

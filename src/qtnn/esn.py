@@ -167,9 +167,8 @@ def ridge_readout(states, targets, ridge_lambda):
     try:
         z = solve_spd(gram, states @ targets.T)
     except SingularMatrixError as err:
-        raise SingularMatrixError(err.pivot_index, err.value) from ValueError(
-            "state Gram matrix is singular; use ridge_lambda > 0"
-        )
+        raise SingularMatrixError(err.pivot_index, err.value,
+                                  "state Gram matrix is singular, use ridge_lambda > 0") from None
     return z.T
 
 

@@ -69,19 +69,19 @@ def _check_input(x, n_features):
     return x
 
 
-def _dense_forward(x, z1, w2, b2, act, onehot=None, grad=True):
+def _dense_forward(x, z1, w2, b2, act, labels=None, grad=True):
     """The layers above z1 = x W1 + b1 -> (probs, cache, loss, dlogits).
 
-    Shared with the sampled-weight BNN.  Without ``onehot`` loss and dlogits
+    Shared with the sampled-weight BNN.  Without ``labels`` loss and dlogits
     are None, and without ``grad`` the cached dT/dE is None.  The cache keeps
     the w2 the pass used under "w2s" (the BNN passes its sampled draw).
     """
     h, dh = activate(z1, act, grad=grad)
     logits = h @ w2 + b2
     cache = {"x": x, "h": h, "dh": dh, "w2s": w2}
-    if onehot is None:
+    if labels is None:
         return softmax(logits), cache, None, None
-    probs, loss, dlogits = softmax_crossentropy(logits, onehot)
+    probs, loss, dlogits = softmax_crossentropy(logits, labels)
     return probs, cache, loss, dlogits
 
 
@@ -107,14 +107,14 @@ def _dense_step(params, grads, cfg):
         p -= g
 
 
-def fnn_forward(model, x, onehot=None):
+def fnn_forward(model, x, labels=None):
     """Probabilities plus the cache needed for one backward pass.
 
-    With ``onehot`` given, also returns (loss, dlogits) from the softmax
-    cross-entropy; otherwise those slots are None.
+    With ``labels`` (one class index per row of ``x``) given, also returns
+    (loss, dlogits) from the softmax cross-entropy; otherwise those slots are None.
     """
     x = _check_input(x, model.w1.shape[0])
-    return _dense_forward(x, x @ model.w1 + model.b1, model.w2, model.b2, model.hidden_act, onehot)
+    return _dense_forward(x, x @ model.w1 + model.b1, model.w2, model.b2, model.hidden_act, labels)
 
 
 def fnn_backward(model, cache, dlogits):
@@ -137,7 +137,7 @@ def fnn_train(model, data, cfg, eval_data=None):
     trace = TrainingTrace()
     for _, loss, acc, evaluation in sgd_epochs(
         data.labels, cfg,
-        lambda idx: fnn_forward(model, data.rows(idx), data.onehot(idx)),
+        lambda idx: fnn_forward(model, data.rows(idx), data.labels[idx]),
         lambda cache, dlogits: _dense_step(params, fnn_backward(model, cache, dlogits), cfg),
         lambda epoch: None if eval_data is None else fnn_evaluate(model, eval_data),
     ):
@@ -161,7 +161,7 @@ def fnn_evaluate(model, data):
 
     def score(z1, rows):  # values only: the hidden-unit derivatives go unused here
         probs, _, loss, _ = _dense_forward(None, z1, model.w2, model.b2, model.hidden_act,
-                                           data.onehot(rows), grad=False)
+                                           data.labels[rows], grad=False)
         return int((probs.argmax(axis=1) == data.labels[rows]).sum()), loss * z1.shape[0]
 
     # (inputs, z1, row slice) per batch, made here as _ahead asks; starmap keeps no batch it scored

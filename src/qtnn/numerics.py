@@ -32,14 +32,13 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A factorization hit a non-positive pivot; carries the pivot index."""
+    """A factorization hit a non-positive pivot; carries the pivot index and an optional hint."""
 
-    def __init__(self, pivot_index, value):
+    def __init__(self, pivot_index, value, hint=None):
         self.pivot_index = pivot_index
         self.value = value
-        super().__init__(
-            f"matrix is not positive definite: pivot {pivot_index} = {value:.6g}"
-        )
+        super().__init__(f"matrix is not positive definite: pivot {pivot_index} = {value:.6g}"
+                         + (f"; {hint}" if hint else ""))
 
 
 class InputError(ValueError):

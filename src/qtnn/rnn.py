@@ -87,12 +87,16 @@ def _check_sequence(model, seq):
 
 
 def _pack(model, corpus):
-    """Checked token ids zero-padded into an (n, L_max) block, lengths, labels."""
+    """Checked token ids zero-padded into an (n, L_max) block, lengths, checked labels."""
     lengths = [len(seq) for seq in corpus.phrases]
     tokens = np.zeros((len(lengths), max(lengths, default=0)), dtype=np.int64)
     for row, seq in zip(tokens, corpus.phrases):
         row[:len(seq)] = _check_sequence(model, seq)
-    return tokens, np.asarray(lengths, dtype=np.int64), np.asarray(corpus.labels, dtype=np.int64)
+    labels, n_classes = np.asarray(corpus.labels, dtype=np.int64), model.wy.shape[1]
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise InputError(f"labels must lie in [0, {n_classes}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    return tokens, np.asarray(lengths, dtype=np.int64), labels
 
 
 def _rows_at(rows, w):
@@ -166,14 +170,13 @@ def rnn_train(model, corpus, cfg, train_frac=0.75, stop_train_loss=None):
     train_set, test_set = split_corpus(corpus, train_frac, seed=cfg.seed)
     train, test = _pack(model, train_set), _pack(model, test_set)
     tokens, lengths, labels = train
-    onehots = np.eye(model.wy.shape[1])[labels]
     # the order of _backward's gradients: the clip norm is an ordered sum
     params = (model.wx, model.wh, model.bh[0], model.wy, model.by[0], model.embed)
 
     def forward(idx):
         seq = tokens[idx[0], :lengths[idx[0]]]
         states, dacts, logits = _unroll(model, seq[None])
-        probs, loss, dlogits = softmax_crossentropy(logits, onehots[idx])
+        probs, loss, dlogits = softmax_crossentropy(logits, labels[idx])
         return probs, (seq, states[:, 0], dacts[:, 0]), loss, dlogits
 
     def update(cache, dlogits):
@@ -200,9 +203,9 @@ def _score(model, tokens, lengths, labels):
     if not len(labels):
         raise InputError("corpus is empty")
     _, _, logits = _unroll(model, tokens, lengths, grad=False)
-    losses = _crossentropy_rows(logits, np.eye(model.wy.shape[1])[labels])
+    probs, losses = _crossentropy_rows(logits, labels)
     total_loss = 0.0
     for loss in losses.tolist():  # in corpus order; sum() may compensate
         total_loss += loss
-    correct = np.count_nonzero(softmax(logits).argmax(axis=1) == labels)
+    correct = np.count_nonzero(probs.argmax(axis=1) == labels)
     return int(correct) / len(labels), total_loss / len(labels)

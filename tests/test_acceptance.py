@@ -135,14 +135,14 @@ def test_c05_fnn_gradient_oracle():
         batch = int(rng.integers(1, 5))
         model = fnn_init(n_feat, n_hidden, n_classes, kind, Rng(int(rng.integers(1 << 30))))
         x = rng.standard_normal((batch, n_feat))
-        onehot = np.eye(n_classes)[rng.integers(0, n_classes, batch)]
+        labels = rng.integers(0, n_classes, batch)
         if np.min(np.abs(x @ model.w1 + model.b1)) < 1e-4:
             continue  # kink-adjacent point, excluded by the gate's protocol
-        _, cache, _, dlogits = fnn_forward(model, x, onehot)
+        _, cache, _, dlogits = fnn_forward(model, x, labels)
         analytic = fnn_backward(model, cache, dlogits)
 
         def loss_fn():
-            return fnn_forward(model, x, onehot)[2]
+            return fnn_forward(model, x, labels)[2]
 
         numeric = numeric_gradient(loss_fn, [model.w1, model.b1, model.w2, model.b2], h=1e-5)
         for a, n in zip(analytic, numeric):

@@ -318,48 +318,79 @@ class TestActivate:
             activate(np.array([np.inf]), Activation.relu())
 
 
+def onehot_crossentropy(logits, labels):
+    """The loss as computed from one-hot label rows: the reference the index form must equal."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.eye(z.shape[1])[labels]
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    rows = np.log(np.exp(shifted).sum(axis=1)) - (shifted * y).sum(axis=1)
+    return probs, float(rows.mean()), (probs - y) / z.shape[0]
+
+
+def logit_cases(batch, classes, seed):
+    """(name, logits, labels): random rows, labels at the row maximum, tied maxima, |z| near 700."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((batch, classes)) * 30
+    ties = rng.integers(-2, 2, (batch, classes)).astype(np.float64)
+    ties[:, -1] = ties[:, :-1].max(axis=1)  # every row's maximum is tied
+    extreme = rng.choice([-700.0, 700.0], (batch, classes)) + rng.uniform(-1, 1, (batch, classes))
+    return [("random", z, rng.integers(0, classes, batch)),
+            ("label-at-max", z, z.argmax(axis=1)),
+            ("tied-max", ties, ties.argmax(axis=1)),
+            ("tied-max-last", ties, np.full(batch, classes - 1)),
+            ("near-700", extreme, rng.integers(0, classes, batch))]
+
+
 class TestSoftmaxCrossentropy:
     def test_uniform_on_zero_logits(self):
-        probs, loss, _ = softmax_crossentropy(np.zeros((2, 10)), np.eye(10)[:2])
+        probs, loss, _ = softmax_crossentropy(np.zeros((2, 10)), np.array([0, 1]))
         assert np.allclose(probs, 0.1)
         assert loss == pytest.approx(np.log(10.0), rel=1e-12)
 
     def test_closed_form_two_classes(self):
-        probs, _, _ = softmax_crossentropy(
-            np.array([[0.0, np.log(2.0)]]), np.array([[1.0, 0.0]])
-        )
+        probs, _, _ = softmax_crossentropy(np.array([[0.0, np.log(2.0)]]), np.array([0]))
         assert np.allclose(probs, [[1 / 3, 2 / 3]], atol=1e-15)
 
     def test_perfect_prediction_zero_loss(self):
-        logits = np.array([[100.0, 0.0, 0.0]])
-        onehot = np.array([[1.0, 0.0, 0.0]])
-        _, loss, _ = softmax_crossentropy(logits, onehot)
+        _, loss, _ = softmax_crossentropy(np.array([[100.0, 0.0, 0.0]]), np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((50, 7)) * 30
-        probs, _, _ = softmax_crossentropy(z, np.eye(7)[rng.integers(0, 7, 50)])
+        probs, _, _ = softmax_crossentropy(z, rng.integers(0, 7, 50))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("batch, classes",
+                             [(batch, classes) for batch in (1, 7, 64) for classes in (2, 3, 10)])
+    def test_bytes_equal_onehot_reference(self, batch, classes):
+        for name, z, labels in logit_cases(batch, classes, seed=batch * classes):
+            probs, loss, grad = softmax_crossentropy(z, labels)
+            want_probs, want_loss, want_grad = onehot_crossentropy(z, labels)
+            assert probs.tobytes() == want_probs.tobytes(), name
+            assert loss.hex() == want_loss.hex(), name
+            assert grad.tobytes() == want_grad.tobytes(), name
 
     def test_gradient_is_mean_scaled(self):
         z = np.array([[1.0, -1.0], [0.5, 0.5]])
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        probs, _, dz = softmax_crossentropy(z, y)
-        assert np.allclose(dz, (probs - y) / 2)
+        probs, _, dz = softmax_crossentropy(z, np.array([0, 1]))
+        assert np.allclose(dz, (probs - np.eye(2)) / 2)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            softmax_crossentropy(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_bad_onehot(self):
-        with pytest.raises(InputError):
-            softmax_crossentropy(np.zeros((1, 3)), np.array([[0.5, 0.2, 0.1]]))
+    @pytest.mark.parametrize("logits, labels, error", [
+        (np.zeros((2, 3)), np.array([0, -1]), InputError),
+        (np.zeros((2, 3)), np.array([0, 3]), InputError),
+        (np.zeros((2, 3)), np.array([0.0, 1.0]), InputError),
+        (np.zeros((2, 3)), np.array([0, 1, 2]), ShapeError),
+        (np.zeros(3), np.array([0]), ShapeError),
+    ], ids=["negative", "n-classes", "float", "wrong-length", "1-d-logits"])
+    def test_bad_labels_rejected(self, logits, labels, error):
+        with pytest.raises(error):
+            softmax_crossentropy(logits, labels)
 
     def test_overflow_safety(self):
-        probs, loss, _ = softmax_crossentropy(
-            np.array([[1000.0, 0.0]]), np.array([[1.0, 0.0]])
-        )
+        probs, loss, _ = softmax_crossentropy(np.array([[1000.0, 0.0]]), np.array([0]))
         assert np.isfinite(loss)
         assert probs[0, 0] == pytest.approx(1.0)
 

@@ -55,7 +55,7 @@ def dense_batch1_train(model, data, cfg):
         epoch_loss = 0.0
         for i in rng_shuffle.permutation(data.n_samples):
             xb = data.inputs[[i]]
-            yb = data.onehot([i])
+            yb = data.labels[[i]]
             noise_scale = np.sqrt((xb[0] ** 2) @ w1_var)
             z1 = xb @ model.w1_mean + model.b1
             z1 += noise_scale * rng_noise.normals(z1.shape[1])
@@ -85,7 +85,7 @@ def serial_bnn_train(model, data, cfg):
     params = (model.w1_mean, model.b1, model.w2_mean, model.b2)
 
     def forward(idx):
-        xb, yb = data.rows(idx), data.onehot(idx)
+        xb, yb = data.rows(idx), data.labels[idx]
         z1 = xb @ model.w1_mean + model.b1
         z1 += np.sqrt((xb[0] ** 2) @ w1_var) * rng_noise.normals(z1.shape[1])
         eps2 = rng_noise.normals(model.w2_mean.size).reshape(model.w2_mean.shape)
@@ -253,19 +253,19 @@ class TestGradients:
             kind = [Activation.relu(), Activation.qt(), Activation.tanh(), Activation.sigmoid()][trial % 4]
             model = bnn_init(3, 4, 2, kind, init_stream(trial), std_init=0.05)
             x = rng.standard_normal((2, 3))
-            onehot = np.eye(2)[rng.integers(0, 2, 2)]
+            labels = rng.integers(0, 2, 2)
             eps1 = rng.standard_normal(model.w1_mean.shape)
             eps2 = rng.standard_normal(model.w2_mean.shape)
             w1s = model.w1_mean + model.w1_std * eps1
             w2s = model.w2_mean + model.w2_std * eps2
             if np.min(np.abs(x @ w1s + model.b1)) < 1e-4:
                 continue
-            _, cache, _, dlogits = _forward_with_weights(model, x, w1s, w2s, onehot)
+            _, cache, _, dlogits = _forward_with_weights(model, x, w1s, w2s, labels)
             analytic = fnn_backward(model, cache, dlogits)
             params = [w1s, model.b1, w2s, model.b2]
 
             def loss_fn():
-                return _forward_with_weights(model, x, w1s, w2s, onehot)[2]
+                return _forward_with_weights(model, x, w1s, w2s, labels)[2]
 
             numeric = numeric_gradient(loss_fn, params, h=1e-5)
             for a, n in zip(analytic, numeric):

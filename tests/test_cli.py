@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -519,6 +520,17 @@ class TestEsnDivergence:
         assert code == EXIT_NUMERIC
         assert one_error_line(capsys) == (
             "numerical failure: free-run forecast is not finite from step 1")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_singular_gram_exit_2_with_the_ridge_hint(self, tmp_path, capsys):
+        # 100 kept states of a 302-wide extended state: the unridged Gram matrix is singular
+        code = main(["esn", "--act", "tanh", "--n", "300", "--ridge", "0", "--train", "200",
+                     "--washout", "100", "--horizon", "10", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        # the pivot's index and rounding-level value depend on the BLAS, the hint does not
+        assert re.fullmatch(r"numerical failure: matrix is not positive definite: pivot \d+ = "
+                            r"\S+; state Gram matrix is singular, use ridge_lambda > 0",
+                            one_error_line(capsys))
         assert not (tmp_path / "r.json").exists()
 
 

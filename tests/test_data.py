@@ -312,11 +312,6 @@ class TestLabeledDataset:
         assert data.inputs.tobytes() == want.tobytes()
         # the reciprocal product is not the same number for every code
         assert (codes * (1.0 / 255.0)).tobytes() != want.tobytes()
-        # the label counterpart: one-hot float64 rows of the labels asked for
-        for idx in ([3, 0, 3], slice(2, 5), np.array([15])):
-            assert data.onehot(idx).tobytes() == np.eye(16)[data.labels[idx]].tobytes()
-        assert data.onehot([3, 0]).tolist() == [[0.0] * 12 + [1.0] + [0.0] * 3,
-                                                [0.0] * 15 + [1.0]]
 
     def test_subset_keeps_codes_and_scale(self):
         codes = np.arange(12, dtype=np.uint8).reshape(4, 3)

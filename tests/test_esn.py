@@ -110,8 +110,12 @@ class TestRidgeReadout:
     def test_rank_deficient_needs_ridge(self):
         states = np.zeros((3, 5))
         states[0] = 1.0
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError) as err:
             ridge_readout(states, np.ones((1, 5)), 0.0)
+        assert (err.value.pivot_index, err.value.value) == (1, 0.0)
+        assert str(err.value) == ("matrix is not positive definite: pivot 1 = 0; "
+                                  "state Gram matrix is singular, use ridge_lambda > 0")
+        assert err.value.__cause__ is None
 
     def test_fit_is_ridge_optimal(self):
         # The ridge gradient 2 (W H - Y) H^T + 2 lambda W vanishes at the fit to

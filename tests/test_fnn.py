@@ -75,9 +75,7 @@ class TestGradients:
         batch = int(rng.integers(1, 5))
         model = fnn_init(n_feat, n_hidden, n_classes, kind, Rng(int(rng.integers(1 << 30))))
         x = rng.standard_normal((batch, n_feat))
-        labels = rng.integers(0, n_classes, batch)
-        onehot = np.eye(n_classes)[labels]
-        return model, x, onehot
+        return model, x, rng.integers(0, n_classes, batch)
 
     def test_fd_agreement_50_configs_all_kinds(self):
         rng = np.random.default_rng(2024)
@@ -86,16 +84,16 @@ class TestGradients:
         while checked < 50 and attempts < 500:
             attempts += 1
             kind = ALL_KINDS[checked % len(ALL_KINDS)]
-            model, x, onehot = self._random_config(rng, kind)
+            model, x, labels = self._random_config(rng, kind)
             z1 = x @ model.w1 + model.b1
             if np.min(np.abs(z1)) < 1e-4:  # too close to a ReLU/QT kink for FD
                 continue
-            _, cache, _, dlogits = fnn_forward(model, x, onehot)
+            _, cache, _, dlogits = fnn_forward(model, x, labels)
             analytic = fnn_backward(model, cache, dlogits)
             params = [model.w1, model.b1, model.w2, model.b2]
 
             def loss_fn():
-                return fnn_forward(model, x, onehot)[2]
+                return fnn_forward(model, x, labels)[2]
 
             numeric = numeric_gradient(loss_fn, params, h=1e-5)
             for a, n in zip(analytic, numeric):
@@ -342,9 +340,9 @@ class TestEvaluate:
             model = fnn_init(20, 48, 10, act, init_stream(6))
             correct, total = 0, 0.0
             for start in range(0, n, 1024):
-                xb, yb = data.inputs[start:start + 1024], data.onehot(slice(start, start + 1024))
+                xb, yb = data.inputs[start:start + 1024], data.labels[start:start + 1024]
                 probs, _, loss, _ = fnn_forward(model, xb, yb)
-                correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
+                correct += int((probs.argmax(axis=1) == yb).sum())
                 total += loss * xb.shape[0]
             acc, loss = fnn_evaluate(model, data)
             assert acc.hex() == (correct / n).hex()
@@ -363,9 +361,9 @@ def serial_evaluate(model, data, batch):
     """(accuracy, mean loss) from fnn_forward on each batch, folded in order."""
     n, correct, total = data.n_samples, 0, 0.0
     for start in range(0, n, batch):
-        yb = data.onehot(slice(start, start + batch))
+        yb = data.labels[start:start + batch]
         probs, _, loss, _ = fnn_forward(model, data.rows(slice(start, start + batch)), yb)
-        correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
+        correct += int((probs.argmax(axis=1) == yb).sum())
         total += loss * yb.shape[0]
     return correct / n, total / n
 

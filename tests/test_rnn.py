@@ -75,15 +75,13 @@ class TestBpttGradients:
                 h = activate(z, kind)[0]
             if not pre_ok:
                 continue
-            onehot = np.zeros((1, 2))
-            onehot[0, label] = 1.0
-            _, _, dlogits = softmax_crossentropy(logits, onehot)
+            _, _, dlogits = softmax_crossentropy(logits, [label])
             analytic = _backward(model, np.asarray(seq), states[:, 0], dacts[:, 0], dlogits[0])
             params = [model.wx, model.wh, model.bh, model.wy, model.by, model.embed]
 
             def loss_fn():
                 _, _, lg = _unroll(model, np.asarray(seq)[None])
-                return softmax_crossentropy(lg, onehot)[1]
+                return softmax_crossentropy(lg, [label])[1]
 
             numeric = numeric_gradient(loss_fn, params, h=1e-5)
             names = ["wx", "wh", "bh", "wy", "by", "embed"]
@@ -249,9 +247,7 @@ def per_sequence_scores(model, corpus):
         for token in seq:
             z = model.embed[token] @ model.wx + h @ model.wh + model.bh[0]
             h = activate(z, model.hidden_act, grad=False)[0]
-        onehot = np.zeros((1, model.wy.shape[1]))
-        onehot[0, label] = 1.0
-        probs, loss, _ = softmax_crossentropy((h @ model.wy + model.by[0])[None, :], onehot)
+        probs, loss, _ = softmax_crossentropy((h @ model.wy + model.by[0])[None, :], [label])
         total_loss += loss
         correct += int(probs[0].argmax() == label)
     return correct / len(corpus.phrases), total_loss / len(corpus.phrases)
@@ -327,6 +323,22 @@ class TestLockStepEvaluation:
             rnn_train(model, corpus, cfg)
         for name in ("embed", "wx", "wh", "bh", "wy", "by"):
             assert np.array_equal(getattr(model, name), getattr(before, name)), name
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_bad_label_leaves_model_untouched(self, label):
+        # checked once before any update: -1 must not train as class 1 by wrapping
+        corpus = load_sentiment(bundled_sentiment_path())
+        corpus.labels[-1] = label
+        model = rnn_init(corpus.vocab_size, 8, 2, Activation.qt(), init_stream(0))
+        names = ("embed", "wx", "wh", "bh", "wy", "by")
+        before = [getattr(model, name).tobytes() for name in names]
+        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=1, clip_norm=5.0, seed=0)
+        message = rf"labels must lie in \[0, 2\), got range \[{min(label, 0)}, {max(label, 1)}\]"
+        for run in (lambda: rnn_train(model, corpus, cfg, train_frac=1.0),
+                    lambda: rnn_evaluate(model, corpus)):
+            with pytest.raises(InputError, match=message):
+                run()
+        assert [getattr(model, name).tobytes() for name in names] == before
 
 
 class TestCheckpoint:
