@@ -328,7 +328,11 @@ def _cmd_esn(cfg, args):
         seed=cfg["seed"], act=act, allow_rho_ge_1=cfg["allow_rho_ge_1"],
         washout=cfg["washout"], ridge_lambda=cfg["ridge"],
     )
-    esn_fit(model, train)
+    try:
+        esn_fit(model, train)
+    except SingularMatrixError as err:  # name the flag, not esn_build's ridge_lambda
+        raise SingularMatrixError(err.pivot_index, err.value,
+                                  "state Gram matrix is singular, use --ridge > 0") from None
     forecast = esn_free_run(model, train, horizon)
     artifacts = []
     if cfg["forecast_csv"]:

@@ -111,32 +111,26 @@ def _first_bad_pivot(a):
     return k, float(a[k, k] - w @ w)
 
 
-def _forward_sub(low, b):
-    # the first row's empty product subtracts an exact +0.0, which leaves x[0] as it is
-    x = b.copy()
-    for i in range(low.shape[0]):
-        x[i] -= low[i, :i] @ x[:i]
-        x[i] /= low[i, i]
-    return x
-
-
-def _backward_sub_t(low, b):
-    # solves low.T x = b; the last row's product is empty, as in _forward_sub
-    x = b.copy()
-    for i in range(low.shape[0] - 1, -1, -1):
-        x[i] -= low[i + 1 :, i] @ x[i + 1 :]
-        x[i] /= low[i, i]
+def _cholesky_solve(low, b):
+    """Solve L L^T X = B by blocks of 64 rows: a product with the solved rows, then LAPACK."""
+    x, starts = b.copy(), range(0, low.shape[0], 64)
+    for i in starts:  # L Y = B, top block first
+        r = slice(i, i + 64)
+        x[r] = np.linalg.solve(low[r, r], x[r] - low[r, :i] @ x[:i])
+    for i in reversed(starts):  # L^T X = Y, bottom block first
+        r, below = slice(i, i + 64), slice(i + 64, None)
+        x[r] = np.linalg.solve(low[r, r].T, x[r] - low[below, r].T @ x[below])
     return x
 
 
 def solve_spd(a, b):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
-    A must be symmetric to within 1e-12 of its largest entry.  After the
-    two triangular solves, one step of fixed-precision iterative refinement
-    (X += solve(B - A X)) takes the residual of the first solution back
-    through the same factor.  Raises :class:`SingularMatrixError` on a
-    non-positive pivot.
+    A must be symmetric to within 1e-12 of its largest entry.  After the two
+    triangular solves, blocked by 64 rows, one step of fixed-precision
+    iterative refinement (X += solve(B - A X)) takes the residual of the
+    first solution back through the same factor.  Raises
+    :class:`SingularMatrixError` on a non-positive pivot.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
@@ -149,8 +143,8 @@ def solve_spd(a, b):
     if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale:
         raise InputError("A is not symmetric within tolerance")
     low = cholesky(a)
-    x = _backward_sub_t(low, _forward_sub(low, b))
-    return x + _backward_sub_t(low, _forward_sub(low, b - a @ x))
+    x = _cholesky_solve(low, b)
+    return x + _cholesky_solve(low, b - a @ x)
 
 
 def spectral_radius(w, iters=1000):
@@ -158,13 +152,15 @@ def spectral_radius(w, iters=1000):
 
     The estimate is the geometric mean of the per-step growth factors
     ``|W v_k| / |v_k|`` over the final 100 iterations, which averages out
-    the oscillation produced by a complex dominant pair.  Accuracy is set
-    by the gap below the dominant magnitude; for random sparse matrices,
-    whose top magnitudes cluster, expect ~1e-3 rather than the clean-gap
-    1e-4.  Rescaling a matrix rescales the estimate exactly, so hitting a
-    target radius via ``w *= target / estimate`` is gap-independent.
-    Returns 0.0 when the iterate collapses to zero (zero or nilpotent
-    matrix).
+    the oscillation produced by a complex dominant pair; they come from
+    iters / k steps of W^k, k = gcd(iters, 4), after W is scaled by a power
+    of two to a largest |entry| in [0.5, 1).  Accuracy is set by the gap
+    below the dominant magnitude; for random sparse matrices, whose top
+    magnitudes cluster, expect ~1e-3 rather than the clean-gap 1e-4.
+    Rescaling a matrix rescales the estimate (by a power of two exactly),
+    so hitting a target radius via ``w *= target / estimate`` is
+    gap-independent.  Returns 0.0 when the iterate collapses to zero (zero
+    or nilpotent matrix).
     """
     w = as_matrix(w, "W")
     n, m = w.shape
@@ -172,20 +168,22 @@ def spectral_radius(w, iters=1000):
         raise ShapeError(f"W must be square, got {n}x{m}")
     if iters < 100:
         raise InputError("iters must be at least 100")
+    k = int(np.gcd(iters, 4))  # divides iters and the window of 100
+    exponent = int(np.frexp(np.abs(w).max())[1])
+    power = np.linalg.matrix_power(np.ldexp(w, -exponent), k)  # exact scale: W^k cannot overflow
     # fixed-seed start vector: deterministic, generic w.r.t. eigenvectors
     v = Rng(0x5EED_0F_A11).uniforms(n) - 0.5
     v /= np.linalg.norm(v)
-    window = min(100, iters)
-    log_growth = np.zeros(window)
-    for k in range(iters):
-        v = w @ v
+    log_sum = 0.0
+    for step in range(iters // k):
+        v = power @ v
         g = np.linalg.norm(v)
         if g == 0.0:
             return 0.0
-        if k >= iters - window:
-            log_growth[k - (iters - window)] = np.log(g)
+        if step >= (iters - 100) // k:
+            log_sum += np.log(g)
         v /= g
-    return float(np.exp(log_growth.mean()))
+    return float(np.ldexp(np.exp(log_sum / 100), exponent))
 
 
 def dft_magnitude(signal):

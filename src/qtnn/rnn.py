@@ -77,13 +77,18 @@ def rnn_init(vocab_size, n_hidden, n_classes, hidden_act, rng, n_embed=16):
 def _check_sequence(model, seq):
     if len(seq) == 0:
         raise InputError("sequence must be non-empty")
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.min() < 0 or seq.max() >= model.vocab_size:
-        raise InputError(
-            f"token indices must lie in [0, {model.vocab_size}), got range "
-            f"[{seq.min()}, {seq.max()}]"
-        )
-    return seq
+    return _indices(seq, model.vocab_size, "token indices")
+
+
+def _indices(values, upper, name):
+    """``values`` as int64, checked to be integers in [0, upper): token ids or class labels."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and values.size:  # a cast would truncate 1.7 to 1
+        raise InputError(f"{name} must be integers, got dtype {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= upper):
+        raise InputError(f"{name} must lie in [0, {upper}), got range "
+                         f"[{values.min()}, {values.max()}]")
+    return values.astype(np.int64, copy=False)
 
 
 def _pack(model, corpus):
@@ -92,10 +97,7 @@ def _pack(model, corpus):
     tokens = np.zeros((len(lengths), max(lengths, default=0)), dtype=np.int64)
     for row, seq in zip(tokens, corpus.phrases):
         row[:len(seq)] = _check_sequence(model, seq)
-    labels, n_classes = np.asarray(corpus.labels, dtype=np.int64), model.wy.shape[1]
-    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
-        raise InputError(f"labels must lie in [0, {n_classes}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    labels = _indices(corpus.labels, model.wy.shape[1], "labels")
     return tokens, np.asarray(lengths, dtype=np.int64), labels
 
 

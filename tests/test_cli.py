@@ -529,7 +529,7 @@ class TestEsnDivergence:
         assert code == EXIT_NUMERIC
         # the pivot's index and rounding-level value depend on the BLAS, the hint does not
         assert re.fullmatch(r"numerical failure: matrix is not positive definite: pivot \d+ = "
-                            r"\S+; state Gram matrix is singular, use ridge_lambda > 0",
+                            r"\S+; state Gram matrix is singular, use --ridge > 0",
                             one_error_line(capsys))
         assert not (tmp_path / "r.json").exists()
 

@@ -9,6 +9,7 @@ from qtnn.numerics import (
     Rng,
     ShapeError,
     SingularMatrixError,
+    _cholesky_solve,
     _splitmix64_stream,
     cholesky,
     dft_magnitude,
@@ -47,6 +48,18 @@ class TestSolveSpd:
             x = solve_spd(a, b)
             resid = np.abs(a @ x - b).max() / max(np.abs(b).max(), 1e-300)
             assert resid <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+    def test_blocked_substitution_alone(self, n):
+        # one refinement step cancels a block that skips its product with the solved rows,
+        # so the substitution is checked without it, around the 64-row block edges
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + n * np.eye(n)
+        b = rng.standard_normal((n, 3))
+        x = _cholesky_solve(cholesky(a), b)
+        oracle = np.linalg.solve(a, b)
+        assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_non_positive_pivot_names_index(self):
         a = np.eye(3)
@@ -129,6 +142,32 @@ class TestSpectralRadius:
     def test_too_few_iters_rejected(self):
         with pytest.raises(InputError):
             spectral_radius(np.eye(2), iters=10)
+
+    @pytest.mark.parametrize("j", [-400, -2, 3, 400])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # without the power-of-two prescale, W^4 overflows at 2^400 and underflows at 2^-400
+        w = np.random.default_rng(2).standard_normal((20, 20))
+        assert spectral_radius(np.ldexp(w, j)) == np.ldexp(spectral_radius(w), j)
+
+    @pytest.mark.parametrize("iters", [101, 150, 1000, 3000])
+    def test_matches_one_step_power_iteration(self, iters):
+        # iters = 101, 150 and 1000 iterate W, W^2 and W^4; the reference steps W every time
+        rng = np.random.default_rng(iters)
+        w = rng.uniform(-0.5, 0.5, (300, 300)) * (rng.uniform(size=(300, 300)) < 0.1)
+        v = Rng(0x5EED_0F_A11).uniforms(300) - 0.5
+        v /= np.linalg.norm(v)
+        logs = []
+        for _ in range(iters):
+            v = w @ v
+            g = np.linalg.norm(v)
+            logs.append(np.log(g))
+            v /= g
+        reference = np.exp(np.mean(logs[-100:]))
+        assert abs(spectral_radius(w, iters=iters) - reference) <= 1e-12 * reference
+
+    def test_nilpotent_of_higher_index_than_the_power(self):
+        # the shift's 4th power is not zero, its 8th is
+        assert spectral_radius(np.eye(6, k=1)) == 0.0
 
 
 def direct_dft_magnitude(x):

@@ -50,6 +50,11 @@ class TestForward:
         with pytest.raises(InputError):
             rnn_forward(model, [4])
 
+    def test_non_integer_token_rejected(self):
+        model = rnn_init(4, 3, 2, Activation.tanh(), Rng(0))
+        with pytest.raises(InputError, match="token indices must be integers, got dtype float64"):
+            rnn_forward(model, [1.7])
+
 
 class TestBpttGradients:
     @pytest.mark.parametrize("kind", [Activation.tanh(), Activation.qt(), Activation.qt(mode="bipolar")],
@@ -338,6 +343,22 @@ class TestLockStepEvaluation:
                     lambda: rnn_evaluate(model, corpus)):
             with pytest.raises(InputError, match=message):
                 run()
+        assert [getattr(model, name).tobytes() for name in names] == before
+
+    def test_non_integer_labels_rejected(self):
+        # a cast would score 1.7 and 0.2 as classes 1 and 0
+        model = rnn_init(3, 4, 2, Activation.qt(), init_stream(0))
+        corpus = SentimentCorpus([[1], [2]], [1.7, 0.2], {"up": 1, "down": 2})
+        with pytest.raises(InputError, match="labels must be integers, got dtype float64"):
+            rnn_evaluate(model, corpus)
+        corpus = load_sentiment(bundled_sentiment_path())
+        corpus.labels[-1] = 0.5
+        model = rnn_init(corpus.vocab_size, 8, 2, Activation.qt(), init_stream(0))
+        names = ("embed", "wx", "wh", "bh", "wy", "by")
+        before = [getattr(model, name).tobytes() for name in names]
+        cfg = TrainConfig(lr=0.05, epochs=2, batch_size=1, clip_norm=5.0, seed=0)
+        with pytest.raises(InputError, match="labels must be integers"):
+            rnn_train(model, corpus, cfg, train_frac=1.0)
         assert [getattr(model, name).tobytes() for name in names] == before
 
 
