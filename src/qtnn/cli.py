@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -122,7 +123,7 @@ class _Kind:
 
     parse: type            # flag type; bool makes a store_const=True flag
     noun: str              # the expectation, as printed in the error line
-    lo: int | None = None  # lower bound (ints only)
+    lo: float | None = None  # inclusive lower bound
     null: bool = False     # null accepted even though the default is not null
 
 
@@ -132,6 +133,7 @@ NONNEG = _Kind(int, "an integer >= 0", lo=0)
 LIMIT = _Kind(int, "an integer >= 0 (0 or null: no limit)", lo=0, null=True)
 FLOAT = _Kind(float, "a finite number")
 CLIP = _Kind(float, "a finite number (null: no clipping)", null=True)
+RIDGE = _Kind(float, "a finite number >= 0", lo=0)
 STR = _Kind(str, "a string")
 BOOL = _Kind(bool, "true or false")
 
@@ -213,6 +215,17 @@ def _last(values):
     return values[-1] if values else None
 
 
+def _check_writable(path):
+    """Reject an output path (if any) that cannot be written, before the run; creates nothing."""
+    if path is None:
+        return
+    path = Path(path)
+    if path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+        raise InputError(f"cannot write {path}: {path.parent} is not a writable directory")
+
+
 def _trained(trace, save, model, path, **metrics):
     """A trainer's report body; the model is checkpointed when ``path`` is set."""
     if path:
@@ -275,6 +288,7 @@ def _load_image_data(cfg):
 
 def _cmd_train_fnn(cfg, args):
     act = _activation_from(cfg, cfg["activation"])
+    _check_writable(cfg["checkpoint"])
     train, test = _load_image_data(cfg)
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch"],
                      clip_norm=cfg["clip"], seed=cfg["seed"])
@@ -287,6 +301,7 @@ def _cmd_train_fnn(cfg, args):
 
 def _cmd_train_rnn(cfg, args):
     act = _activation_from(cfg, cfg["activation"])
+    _check_writable(cfg["checkpoint"])
     cfg["corpus"] = cfg["corpus"] or str(bundled_sentiment_path())
     corpus = load_sentiment(cfg["corpus"])
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=1,
@@ -307,6 +322,7 @@ def _cmd_train_rnn(cfg, args):
 
 def _cmd_train_bnn(cfg, args):
     act = _activation_from(cfg, cfg["activation"])
+    _check_writable(cfg["checkpoint"])
     train, test = _load_image_data(cfg)
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=1,
                      clip_norm=None, seed=cfg["seed"])
@@ -320,6 +336,12 @@ def _cmd_train_bnn(cfg, args):
 
 def _cmd_esn(cfg, args):
     act = _activation_from(cfg, cfg["act"])
+    if cfg["rho"] <= 0.0:
+        raise InputError(f"rho must be > 0, got {cfg['rho']}")
+    if cfg["rho"] >= 1.0 and not cfg["allow_rho_ge_1"]:
+        raise InputError(f"rho {cfg['rho']} >= 1 abandons the echo-state guarantee; "
+                         "pass --allow-rho-ge-1 to override")
+    _check_writable(cfg["forecast_csv"])
     n_train, horizon = cfg["train"], cfg["horizon"]
     series = mackey_glass(MgConfig(), n_train + horizon)
     train, target = series[:n_train], series[n_train:]
@@ -439,7 +461,7 @@ _COMMANDS = {
         ("n", COUNT, 1000, "reservoir size"),
         ("rho", FLOAT, 0.95, "spectral radius target"),
         ("density", FLOAT, 0.1, "reservoir density"),
-        ("ridge", FLOAT, 1e-8, "ridge lambda"),
+        ("ridge", RIDGE, 1e-8, "ridge lambda"),
         ("washout", NONNEG, 100, "washout steps"),
         ("train", COUNT, 2000, "training samples"),
         ("horizon", COUNT, 2000, "forecast steps"),

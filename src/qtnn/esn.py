@@ -11,18 +11,17 @@ over extended states [1; u_t; h_t] collected after a washout period.  In
 free-running mode each prediction is fed back as the next input, turning
 the fitted network into a generator.
 
-The fit records the state the reservoir ends in, and a free run warmed up
-on the series it was fitted on continues from that state instead of
-driving the reservoir over the same inputs again.  Like W_out, that state
-belongs to the reservoir it was driven through: after changing W_in, W_res
-or the activation, refit.
+The fit keeps the reservoir state it ends in as model.state, and the free
+run continues the fitted series from there, so the reservoir runs once
+per input.  Like W_out, that state belongs to the series and the
+reservoir it was driven through: to forecast after another series, or
+after changing W_in, W_res or the activation, refit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +46,6 @@ __all__ = [
 ]
 
 
-class _FitEnd(NamedTuple):
-    """Where esn_fit left the reservoir, and what drove it there."""
-
-    w_in: np.ndarray
-    w_res: np.ndarray
-    act: Activation
-    inputs: np.ndarray  # copy of the driven series[:-1]
-    h: np.ndarray       # state after the last of them
-
-
 @dataclass
 class EsnModel:
     w_in: np.ndarray          # N x 2, column 0 is the bias
@@ -65,7 +54,7 @@ class EsnModel:
     act: Activation
     washout: int
     ridge_lambda: float
-    fit_end: _FitEnd | None = None  # set with w_out by esn_fit
+    state: np.ndarray | None = None  # reservoir state after series[:-1], set with w_out
 
     @property
     def n_reservoir(self):
@@ -138,25 +127,6 @@ def _run_reservoir(model, inputs, h, states=None):
     return h
 
 
-def _fitted_state(model, inputs):
-    """esn_fit's final state if it drove this reservoir over these exact bytes.
-
-    Bytes, not values, are compared: -0.0 and 0.0 can drive the reservoir
-    differently.  Returns None when anything differs.
-    """
-    end = model.fit_end
-    if (
-        end is not None
-        and end.w_in is model.w_in
-        and end.w_res is model.w_res
-        and end.act is model.act
-        and end.inputs.shape == inputs.shape
-        and end.inputs.tobytes() == inputs.tobytes()
-    ):
-        return end.h
-    return None
-
-
 def ridge_readout(states, targets, ridge_lambda):
     """Solve W_out = Y H^T (H H^T + lambda I)^{-1} for column-wise states H."""
     states = np.asarray(states, dtype=np.float64)
@@ -178,8 +148,8 @@ def esn_fit(model, series):
     Runs the reservoir over series[0..T-2] targeting series[1..T-1],
     collects extended states after the washout and solves the regularized
     normal equations through the SPD path.  Sets and returns model.w_out;
-    once the solve succeeds it also records the final reservoir state in
-    model.fit_end, for esn_free_run to continue from.
+    once the solve succeeds it also sets model.state, the reservoir state
+    after series[T-2], for esn_free_run to continue from.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1:
@@ -191,40 +161,34 @@ def esn_fit(model, series):
         raise InputError(
             f"series length {total} too short for washout {model.washout}"
         )
-    inputs = series[:-1].copy()
     states = np.empty((2 + model.n_reservoir, total - 1 - model.washout))
-    h = _run_reservoir(model, inputs, np.zeros(model.n_reservoir), states)
+    h = _run_reservoir(model, series[:-1], np.zeros(model.n_reservoir), states)
     w_out = ridge_readout(states, series[None, model.washout + 1 :], model.ridge_lambda)
-    model.w_out = w_out
-    model.fit_end = _FitEnd(model.w_in, model.w_res, model.act, inputs, h)
+    model.w_out, model.state = w_out, h
     return w_out
 
 
-def esn_free_run(model, warm, horizon):
-    """Generative forecast: warm up teacher-forced, then feed back outputs.
+def esn_free_run(model, series, horizon):
+    """Generative forecast of ``horizon`` steps after ``series``.
 
-    Forcing stops one step short of the end of ``warm`` so the loop's first
-    iteration consumes warm[-1] exactly once, mirroring the state/input
-    pairing the readout was fitted on.  When warm[:-1] is byte for byte the
-    input esn_fit drove this reservoir with, forcing is skipped: the run
-    continues from the fit's recorded final state, the very state forcing
-    from zero would reach.  Otherwise it forces from zero.  A reservoir
-    changed after the fit needs a refit, as W_out does.  Raises
-    NumericalFailure naming the first step whose prediction is not finite.
+    ``series`` is the series esn_fit was given: the run continues from
+    model.state, the reservoir state after series[:-1], and feeds series[-1]
+    first, the state/input pairing the readout was fitted on.  Each
+    prediction is then fed back as the next input; model.state is left as
+    it is.  To forecast after another series, or after changing W_in, W_res
+    or the activation, refit.  Raises NumericalFailure naming the first
+    step whose prediction is not finite.
     """
-    if model.w_out is None:
+    if model.w_out is None or model.state is None:
         raise InputError("model has no fitted readout; call esn_fit first")
-    warm = np.asarray(warm, dtype=np.float64)
-    if warm.ndim != 1:
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim != 1:
         raise InputError("warmup series must be 1-D")
-    if warm.size <= model.washout:
+    if series.size <= model.washout:
         raise InputError("warmup series must cover the washout")
     if horizon < 0:
         raise InputError(f"horizon must be >= 0, got {horizon}")
-    h = _fitted_state(model, warm[:-1])
-    if h is None:
-        h = _run_reservoir(model, warm[:-1], np.zeros(model.n_reservoir))
-    u = warm[-1]
+    h, u = model.state, series[-1]
     out = np.empty(horizon)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
         for t in range(horizon):

@@ -156,7 +156,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["corpus-not-utf8", "corpus-field-too-large", "corpus-dir",
                                       "checkpoint-dir", "activation-out-dir", "spectrum-csv-dir",
-                                      "wavepacket-outdir-file"])
+                                      "wavepacket-outdir-file", "esn-forecast-csv-dir"])
     def test_unusable_path_exit_1_one_line(self, tmp_path, capsys, monkeypatch, case):
         a_dir, a_file, big = tmp_path / "dir", tmp_path / "file.csv", tmp_path / "big.csv"
         a_dir.mkdir()
@@ -164,10 +164,13 @@ class TestExitCodes:
         big.write_text("text,label\ngood,1\n" + "a" * 200_000 + ",0\n", encoding="utf-8")
         out = str(tmp_path / "r.json")
 
-        def no_steps(*args, **kwargs):
-            raise AssertionError("wp_run ran before the outdir was made")
+        def not_reached(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} ran before its output path was checked")
+            return fail
 
-        monkeypatch.setattr(cli, "wp_run", no_steps)
+        for name in ("wp_run", "rnn_train", "esn_fit"):
+            monkeypatch.setattr(cli, name, not_reached(name))
         rnn = ["train", "rnn", "--hidden", "4", "--epochs", "1", "--out", out]
         cmd = {
             "corpus-not-utf8": [*rnn, "--corpus", str(a_file)],
@@ -180,6 +183,8 @@ class TestExitCodes:
                                        "--ny", "64", "--steps", "2", "--x0", "3.2",
                                        "--sigma", "0.6", "--barrier-x", "6.4",
                                        "--outdir", str(a_file), "--out", out],
+            "esn-forecast-csv-dir": ["esn", "--n", "40", "--forecast-csv", str(a_dir),
+                                     "--out", out],
         }[case]
         assert main(cmd) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -325,6 +330,22 @@ class TestEsnCommand:
                      "--train", "300", "--horizon", "20", "--washout", "40",
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ridge", "-1", "ridge must be a finite number >= 0, got -1.0"),
+        ("--rho", "-1", "rho must be > 0, got -1.0"),
+        ("--rho", "1.2", "rho 1.2 >= 1 abandons the echo-state guarantee; "
+                         "pass --allow-rho-ge-1 to override"),
+    ])
+    def test_bad_reservoir_flag_is_named(self, tmp_path, capsys, monkeypatch,
+                                         flag, value, message):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("esn_build ran on a rejected flag")
+
+        monkeypatch.setattr(cli, "esn_build", not_reached)
+        code = main(["esn", flag, value, "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT
+        assert one_error_line(capsys) == f"error: {message}"
 
 
 class TestWavepacketCommand:
@@ -571,9 +592,7 @@ class TestUncomputableValues:
         (["train", "rnn", "--train-frac", "1.5"], "train_frac must lie in (0, 1], got 1.5"),
         (["esn", "--act", "qt", "--v0", "1e300"], "gives a non-finite constant"),
         (["esn", "--n", "50", "--train", "300", "--horizon", "10", "--ridge=-1e-12"],
-         "ridge_lambda must be non-negative, got -1e-12"),
-        (["esn", "--n", "50", "--train", "300", "--horizon", "10", "--ridge", "-1"],
-         "ridge_lambda must be non-negative, got -1.0"),
+         "ridge must be a finite number >= 0, got -1e-12"),
         (["spectrum", "--fs", "0"], "fs must be positive and finite"),
         (["spectrum", "--fs", "-1024"], "fs must be positive and finite"),
         (["spectrum", "--fs", "1e-300"], "must lie below the Nyquist frequency"),

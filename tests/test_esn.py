@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from qtnn.esn import (
     nmse_metric,
     ridge_readout,
 )
-from qtnn.esn import _drive
+from qtnn.esn import _drive, _run_reservoir
 from qtnn.numerics import InputError, NumericalFailure, SingularMatrixError, spectral_radius
 
 
@@ -285,12 +283,6 @@ def count_drives(monkeypatch):
     return calls
 
 
-def redriven(model, warm, horizon):
-    """Free run that forces the reservoir from zero over an equal copy of ``warm``."""
-    model.fit_end = None
-    return esn_free_run(model, np.array(warm, copy=True), horizon)
-
-
 class TestFitState:
     HORIZON = 30
 
@@ -302,44 +294,33 @@ class TestFitState:
 
     def test_continued_forecast_equals_redriven_bytes(self, monkeypatch):
         model, series = self.fitted()
+        redriven = _run_reservoir(model, series[:-1], np.zeros(model.n_reservoir))
+        assert model.state.tobytes() == redriven.tobytes()
         calls = count_drives(monkeypatch)
-        continued = esn_free_run(model, series, self.HORIZON)
-        assert len(calls) == self.HORIZON  # no warm-up steps
-        calls.clear()
-        again = redriven(model, series, self.HORIZON)
-        assert len(calls) == series.size - 1 + self.HORIZON
-        assert continued.tobytes() == again.tobytes()
+        esn_free_run(model, series, self.HORIZON)
+        assert calls[0] == series[-1] and len(calls) == self.HORIZON  # no warm-up steps
 
-    @pytest.mark.parametrize("index, value", [(17, 0.5), (5, -0.0)])
-    def test_different_warm_series_drives_from_zero(self, monkeypatch, index, value):
-        series = mackey_glass(MgConfig(), 300)
-        series[5] = 0.0  # so -0.0 differs from the fitted value only in its bytes
-        model, _ = self.fitted(series)
-        warm = series.copy()
-        warm[index] = value
-        calls = count_drives(monkeypatch)
-        forecast = esn_free_run(model, warm, self.HORIZON)
-        assert len(calls) == series.size - 1 + self.HORIZON
-        assert forecast.tobytes() == redriven(model, warm, self.HORIZON).tobytes()
+    def test_free_run_leaves_state_and_repeats(self):
+        model, series = self.fitted()
+        state = model.state.copy()
+        first = esn_free_run(model, series, self.HORIZON)
+        second = esn_free_run(model, series, self.HORIZON)
+        assert first.tobytes() == second.tobytes()
+        assert model.state.tobytes() == state.tobytes()
 
-    def test_refit_replaces_recorded_state(self, monkeypatch):
-        model, first = self.fitted()
+    def test_refit_replaces_recorded_state(self):
+        model, _ = self.fitted()
+        before = model.state
         second = mackey_glass(MgConfig(tau_mg=20.0), 300)
         esn_fit(model, second)
-        assert np.array_equal(model.fit_end.inputs, second[:-1])
-        calls = count_drives(monkeypatch)
-        esn_free_run(model, first, self.HORIZON)
-        assert len(calls) == first.size - 1 + self.HORIZON
-        calls.clear()
-        continued = esn_free_run(model, second, self.HORIZON)
-        assert len(calls) == self.HORIZON
-        assert continued.tobytes() == redriven(model, second, self.HORIZON).tobytes()
+        redriven = _run_reservoir(model, second[:-1], np.zeros(model.n_reservoir))
+        assert model.state.tobytes() == redriven.tobytes() != before.tobytes()
 
     def test_failed_readout_keeps_previous_fit(self, monkeypatch):
         import qtnn.esn as esn_mod
 
         model, series = self.fitted()
-        w_out, fit_end = model.w_out, model.fit_end
+        w_out, state = model.w_out, model.state
 
         def singular(states, targets, ridge_lambda):
             raise SingularMatrixError(0, 0.0)
@@ -347,17 +328,7 @@ class TestFitState:
         monkeypatch.setattr(esn_mod, "ridge_readout", singular)
         with pytest.raises(SingularMatrixError):
             esn_fit(model, series[::-1])
-        assert model.w_out is w_out and model.fit_end is fit_end
-
-    @pytest.mark.parametrize("name", ["w_in", "w_res", "act"])
-    def test_replaced_reservoir_drives_from_zero(self, monkeypatch, name):
-        model, series = self.fitted()
-        # equal to what the fit drove, but not the same object
-        setattr(model, name, copy.copy(getattr(model, name)))
-        calls = count_drives(monkeypatch)
-        forecast = esn_free_run(model, series, self.HORIZON)
-        assert len(calls) == series.size - 1 + self.HORIZON
-        assert forecast.tobytes() == redriven(model, series, self.HORIZON).tobytes()
+        assert model.w_out is w_out and model.state is state
 
 
 class TestMse:

@@ -9,14 +9,19 @@ the root of the checkout that holds this script or from ``--root``.  It
 writes, per workload, the median and quartiles of every metric over the
 seeds (end-to-end metrics from ``--trace 0``, per-layer ones from
 ``--trace 1``), and per trace mode and seed the output digest, the
-failed-check count and the machine block.
+failed-check count and the machine block; a ``--trace 0`` run also keeps
+its host speed, the median over its repetitions of perfbench's
+``scale_per_rep`` (reference seconds per wall second).
 
 The second form prints, per workload and metric, the ratio of the medians
 (second file over first), whether the two quartile ranges overlap and at
 how many of the seeds both files ran the second file is better (the
 direction is the metric's ``better`` in ``BENCHMARK.json``; a tie counts for
 neither), and flags every digest and every failed-check count that differs
-between the files for one workload, trace mode and seed.
+between the files for one workload, trace mode and seed.  When both files
+carry host speeds, one more line per workload gives the ratio of their
+medians, so that drift of the host between two collections shows next to
+the metric ratios.
 Nothing here gates: the exit code does not depend on the numbers.
 """
 
@@ -62,9 +67,11 @@ def collect(root, seeds, seconds, traces):
             for workload in workloads:
                 print(f"{workload} trace {trace} seed {seed}", file=sys.stderr, flush=True)
                 detail, result = run_perfbench(root, workload, seed, seconds, trace)
-                runs[workload].setdefault(f"trace{trace}", {})[str(seed)] = {
-                    "digest": detail["digest"], "failed": result["failed"],
-                    "attempted": result["attempted"], "machine": detail["machine"]}
+                run = {"digest": detail["digest"], "failed": result["failed"],
+                       "attempted": result["attempted"], "machine": detail["machine"]}
+                if trace == 0:
+                    run["host_speed"] = statistics.median(detail["scale_per_rep"])
+                runs[workload].setdefault(f"trace{trace}", {})[str(seed)] = run
                 for name, metric in result["metrics"].items():
                     values[workload].setdefault(name, []).append(metric["value"])
                     units[workload][name] = metric["unit"]
@@ -81,12 +88,22 @@ def seed_wins(a, b, ma, mb, higher):
     return sum((vb[s] > va[s]) if higher else (vb[s] < va[s]) for s in common), len(common)
 
 
+def host_speed(workload):
+    """Median host speed over a workload's trace-0 runs; None if any run lacks one."""
+    speeds = [run.get("host_speed") for run in workload["runs"].get("trace0", {}).values()]
+    return statistics.median(speeds) if speeds and None not in speeds else None
+
+
 def compare(a, b, better):
-    """Report lines for two collected files: ratios, overlaps, wins per seed, changed
-    digests and failures; ``better`` maps a metric name to "higher" or "lower"."""
+    """Report lines for two collected files: host speed, ratios, overlaps, wins per
+    seed, changed digests and failures; ``better`` maps a metric name to "higher" or
+    "lower"."""
     lines = []
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
+        sa, sb = host_speed(wa), host_speed(wb)
+        if sa and sb:
+            lines.append(f"{workload} host speed: {sa:.6g} -> {sb:.6g} x{sb / sa:.3f}")
         for name in [m for m in wa["metrics"] if m in wb["metrics"]]:
             ma, mb = wa["metrics"][name], wb["metrics"][name]
             ratio = f"x{mb['median'] / ma['median']:.3f}" if ma["median"] else "x n/a"
