@@ -12,10 +12,11 @@ Subcommands map one-to-one onto the package's experiment surface::
 
 Every subcommand accepts ``--config FILE`` with a JSON object of the same
 keys as its flags; explicit flags override the file.  The merged values are
-checked against the subcommand's option table before anything runs.  Reports
-are written as canonical JSON (sorted keys, floats at 17 significant digits)
-so two runs of one command line differ at most in the wall-clock field.  Exit
-codes: 0 success, 1 input error, 2 numerical failure.
+checked against the subcommand's option table, and every output file for being
+writable and unshared, before anything runs.  Reports are canonical JSON
+(sorted keys, floats at 17 significant digits) so two runs of one command line
+differ at most in the wall-clock field.  Exit codes: 0 success, 1 input error,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -100,18 +101,6 @@ def canonical_json(report):
     return _canonical(report) + "\n"
 
 
-def write_report(report, path):
-    """Write canonical JSON; IO problems are numerical-failure exits (2)."""
-    try:
-        Path(path).write_text(canonical_json(report), encoding="utf-8")
-    except OSError as err:
-        raise ReportIOError(f"cannot write report to {path}: {err}") from err
-
-
-class ReportIOError(OSError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # option tables: one (key, kind, default, help) row per option gives the
 # --flag (key with _ -> -), the config key, the default and the value check.
@@ -135,6 +124,7 @@ FLOAT = _Kind(float, "a finite number")
 CLIP = _Kind(float, "a finite number (null: no clipping)", null=True)
 RIDGE = _Kind(float, "a finite number >= 0", lo=0)
 STR = _Kind(str, "a string")
+PATH = _Kind(str, "a file path")  # an output file, checked by main() before the run
 BOOL = _Kind(bool, "true or false")
 
 _ACTIVATIONS = ("qt", "relu", "sigmoid", "tanh", "identity")
@@ -215,15 +205,21 @@ def _last(values):
     return values[-1] if values else None
 
 
-def _check_writable(path):
-    """Reject an output path (if any) that cannot be written, before the run; creates nothing."""
-    if path is None:
-        return
-    path = Path(path)
-    if path.is_dir():
-        raise InputError(f"cannot write {path}: it is a directory")
-    if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
-        raise InputError(f"cannot write {path}: {path.parent} is not a writable directory")
+def _check_outputs(outputs):
+    """Reject an output {flag: path or None} that cannot be written or repeats a file."""
+    seen = {}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():  # '' names the working directory
+            raise InputError(f"cannot write {flag} {path!r}: it is a directory")
+        if not (target.parent.is_dir() and os.access(target.parent, os.W_OK)):
+            raise InputError(f"cannot write {flag} {path!r}: "
+                             f"{str(target.parent)!r} is not a writable directory")
+        first = seen.setdefault(target.resolve(), flag)
+        if first != flag:
+            raise InputError(f"{first} and {flag} name one file, {path!r}")
 
 
 def _trained(trace, save, model, path, **metrics):
@@ -239,10 +235,11 @@ def _trained(trace, save, model, path, **metrics):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each maps (checked config, flags) to (report path, {"metrics",
-# "artifacts"[, "per_epoch"]}); main() adds the command, the config and any seed.  A
-# null default the command resolves (rnn corpus, wavepacket v0) is written
-# back into cfg so the report records the value used.
+# subcommands: each maps (checked config, flags) to the report body {"metrics",
+# "artifacts"[, "per_epoch"]}; main() adds the command, the config and any seed,
+# and writes it to the report path.  A null default the command resolves (rnn
+# corpus, wavepacket v0) is written back into cfg so the report records the
+# value used.
 # ---------------------------------------------------------------------------
 
 def _cmd_activation(cfg, args):
@@ -252,11 +249,10 @@ def _cmd_activation(cfg, args):
         energies = np.linspace(0.0, cfg["emax"], cfg["points"]) + 0.0  # no -0.0 at emax=-0.0
     t = qt_transmission(energies, params)
     dt = qt_transmission_derivative(energies, params)
-    out = args.out or "activation_curve.csv"
-    np.savetxt(out, np.column_stack((energies, t, dt)), fmt="%.17g", delimiter=",",
+    np.savetxt(args.out, np.column_stack((energies, t, dt)), fmt="%.17g", delimiter=",",
                header="energy,transmission,derivative", comments="")
     metrics = {"t_min": float(t.min()), "t_max": float(t.max())}
-    return args.report, {"metrics": metrics, "artifacts": [out]}
+    return {"metrics": metrics, "artifacts": [args.out]}
 
 
 def _cmd_spectrum(cfg, args):
@@ -269,7 +265,7 @@ def _cmd_spectrum(cfg, args):
         artifacts.append(cfg["csv"])
     detected = [{"k": k, "freq_hz": f, "rel_db": db} for k, f, db in spectrum.detected]
     metrics = {"detected": detected, "n_detected": len(detected)}
-    return args.out or "spectrum_report.json", {"metrics": metrics, "artifacts": artifacts}
+    return {"metrics": metrics, "artifacts": artifacts}
 
 
 def _load_image_data(cfg):
@@ -288,20 +284,18 @@ def _load_image_data(cfg):
 
 def _cmd_train_fnn(cfg, args):
     act = _activation_from(cfg, cfg["activation"])
-    _check_writable(cfg["checkpoint"])
     train, test = _load_image_data(cfg)
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch"],
                      clip_norm=cfg["clip"], seed=cfg["seed"])
     model = fnn_init(train.n_features, cfg["hidden"], train.n_classes, act, init_stream(tc.seed))
     trace = fnn_train(model, train, tc, eval_data=test)
-    return args.out or "fnn_report.json", _trained(
+    return _trained(
         trace, checkpoint.save_fnn, model, cfg["checkpoint"],
         test_accuracy=_last(trace.eval_accuracy), test_loss=_last(trace.eval_loss))
 
 
 def _cmd_train_rnn(cfg, args):
     act = _activation_from(cfg, cfg["activation"])
-    _check_writable(cfg["checkpoint"])
     cfg["corpus"] = cfg["corpus"] or str(bundled_sentiment_path())
     corpus = load_sentiment(cfg["corpus"])
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=1,
@@ -312,7 +306,7 @@ def _cmd_train_rnn(cfg, args):
                                            stop_train_loss=cfg["stop_loss"])
     epochs_to_perfect = next((i + 1 for i, (acc, loss) in enumerate(
         zip(trace.train_accuracy, trace.train_loss)) if acc == 1.0 and loss < 0.01), None)
-    return args.out or "rnn_report.json", _trained(
+    return _trained(
         trace, checkpoint.save_rnn, model, cfg["checkpoint"],
         epochs_run=trace.epochs_run, epochs_to_perfect=epochs_to_perfect,
         final_test_accuracy=_last(trace.eval_accuracy),
@@ -322,14 +316,13 @@ def _cmd_train_rnn(cfg, args):
 
 def _cmd_train_bnn(cfg, args):
     act = _activation_from(cfg, cfg["activation"])
-    _check_writable(cfg["checkpoint"])
     train, test = _load_image_data(cfg)
     tc = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=1,
                      clip_norm=None, seed=cfg["seed"])
     model = bnn_init(train.n_features, cfg["hidden"], train.n_classes, act,
                      init_stream(tc.seed), std_init=cfg["std"], n_samples=cfg["samples"])
     trace = bnn_train(model, train, tc, eval_data=test)
-    return args.out or "bnn_report.json", _trained(
+    return _trained(
         trace, checkpoint.save_bnn, model, cfg["checkpoint"],
         test_accuracy=_last(trace.eval_accuracy), test_loss=_last(trace.eval_loss))
 
@@ -341,7 +334,6 @@ def _cmd_esn(cfg, args):
     if cfg["rho"] >= 1.0 and not cfg["allow_rho_ge_1"]:
         raise InputError(f"rho {cfg['rho']} >= 1 abandons the echo-state guarantee; "
                          "pass --allow-rho-ge-1 to override")
-    _check_writable(cfg["forecast_csv"])
     n_train, horizon = cfg["train"], cfg["horizon"]
     series = mackey_glass(MgConfig(), n_train + horizon)
     train, target = series[:n_train], series[n_train:]
@@ -367,7 +359,7 @@ def _cmd_esn(cfg, args):
         metrics["mse_500"] = mse_metric(forecast[:500], target[:500])
     metrics[f"mse_{horizon}"] = mse_metric(forecast, target)
     metrics[f"nmse_{horizon}"] = nmse_metric(forecast, target)
-    return args.out or "esn_report.json", {"metrics": metrics, "artifacts": artifacts}
+    return {"metrics": metrics, "artifacts": artifacts}
 
 
 def _cmd_wavepacket(cfg, args):
@@ -382,18 +374,19 @@ def _cmd_wavepacket(cfg, args):
     grid = wp_init(scenario, nx=cfg["nx"], ny=cfg["ny"], dx=cfg["dx"], dt=cfg["dt"])
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    frames, summary = wp_run(grid, cfg["steps"], snapshot_every=cfg["snapshot_every"])
     pgm = cfg["format"] == "pgm"
-    frame_files = [str(outdir / f"frame_{step:06d}.{'pgm' if pgm else 'txt'}")
-                   for step, _ in frames]
-    for (_, frame), path in zip(frames, frame_files):
-        (frame_to_pgm16 if pgm else frame_to_text)(frame, path)
+    frame_files = []
+
+    def write_frame(step, frame):  # each frame goes to disk as it is taken
+        frame_files.append(str(outdir / f"frame_{step:06d}.{'pgm' if pgm else 'txt'}"))
+        (frame_to_pgm16 if pgm else frame_to_text)(frame, frame_files[-1])
+
+    summary = wp_run(grid, cfg["steps"], write_frame, snapshot_every=cfg["snapshot_every"])
     manifest = {"scenario": cfg["scenario"], "dt": cfg["dt"], "dx": cfg["dx"],
                 "steps": cfg["steps"], "frames": frame_files}
     manifest_path = outdir / "manifest.json"
     manifest_path.write_text(canonical_json(manifest), encoding="utf-8")
-    return args.out or "wavepacket_report.json", {
-        "metrics": summary, "artifacts": frame_files + [str(manifest_path)]}
+    return {"metrics": summary, "artifacts": frame_files + [str(manifest_path)]}
 
 
 # name -> (implementation, help, option rows).  The paths that are not config
@@ -411,7 +404,7 @@ _COMMANDS = {
         ("fs", FLOAT, 1024.0, "sample rate Hz"),
         ("n", COUNT, 1024, "sample count, power of two"),
         ("threshold_db", FLOAT, -70.0, "detection threshold dB relative to the main peak"),
-        ("csv", STR, None, "also export the full spectrum as CSV"),
+        ("csv", PATH, None, "also export the full spectrum as CSV"),
         *_barrier(),
     )),
     "train fnn": (_cmd_train_fnn, "feedforward classifier", (
@@ -423,7 +416,7 @@ _COMMANDS = {
         ("clip", CLIP, 5.0, "gradient clip norm"),
         ("epochs", COUNT, 10, "epochs"),
         ("seed", INT, 42, "generator seed"),
-        ("checkpoint", STR, None, "save the trained model here"),
+        ("checkpoint", PATH, None, "save the trained model here"),
         ("train_limit", LIMIT, None, "train on the first N images"),
         ("test_limit", LIMIT, None, "test on the first N images"),
         *_barrier(),
@@ -439,7 +432,7 @@ _COMMANDS = {
         ("seed", INT, 42, "generator seed"),
         ("stop_loss", FLOAT, None, "stop once train accuracy is 1.0 and loss below this"),
         ("train_frac", FLOAT, 0.75, "fraction of the corpus used for training"),
-        ("checkpoint", STR, None, "save the trained model here"),
+        ("checkpoint", PATH, None, "save the trained model here"),
         *_barrier(),
     )),
     "train bnn": (_cmd_train_bnn, "Bayesian classifier", (
@@ -453,7 +446,7 @@ _COMMANDS = {
         ("std", FLOAT, 0.01, "fixed weight std"),
         ("train_limit", LIMIT, 10000, "train on the first N images"),
         ("test_limit", LIMIT, 2000, "test on the first N images"),
-        ("checkpoint", STR, None, "save the trained model here"),
+        ("checkpoint", PATH, None, "save the trained model here"),
         *_barrier(),
     )),
     "esn": (_cmd_esn, "echo-state Mackey-Glass forecast", (
@@ -466,7 +459,7 @@ _COMMANDS = {
         ("train", COUNT, 2000, "training samples"),
         ("horizon", COUNT, 2000, "forecast steps"),
         ("seed", INT, 0, "generator seed"),
-        ("forecast_csv", STR, None, "write t,target,prediction rows here"),
+        ("forecast_csv", PATH, None, "write t,target,prediction rows here"),
         ("allow_rho_ge_1", BOOL, False, "permit spectral radius targets >= 1"),
         *_barrier(ampl=2.0, mode="bipolar"),
     )),
@@ -504,7 +497,9 @@ def _build_parser():
             groups[group] = train.add_subparsers(dest="arch", parser_class=_Parser)
         p = groups[group].add_parser(leaf, help=text)
         p.add_argument("--config", help="JSON file with the same keys as the flags")
-        p.add_argument("--out", help="report/output path")
+        what, out = (("T(E) curve CSV", "activation_curve.csv") if name == "activation"
+                     else ("JSON report", f"{leaf}_report.json"))
+        p.add_argument("--out", default=out, help=f"{what} path (default {out})")
         if name == "activation":
             p.add_argument("--report", help="also write a JSON report here")
         for row in rows:
@@ -526,17 +521,20 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         cfg = _merge_config(args.rows, args)
-        report_path, body = args.func(cfg, args)
+        report_path = vars(args).get("report", args.out)  # activation's --out is its curve
+        _check_outputs({"--out": args.out, "--report": vars(args).get("report"), **{
+            "--" + key.replace("_", "-"): cfg[key] for key, kind, *_ in args.rows if kind is PATH}})
+        body = args.func(cfg, args)
         report = {"command": ["qtnn", *argv], "config": cfg, **body,
                   "wall_clock_sec": time.perf_counter() - started}
         if "seed" in cfg:  # only the commands that draw random numbers have one
             report["seed"] = cfg["seed"]
         if report_path:
-            write_report(report, report_path)
-    except (TrainingDiverged, NumericalFailure, SingularMatrixError, ReportIOError) as err:
+            Path(report_path).write_text(canonical_json(report), encoding="utf-8")
+    except (TrainingDiverged, NumericalFailure, SingularMatrixError) as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC
-    except (InputError, FormatError, ShapeError, OSError) as err:  # after its ReportIOError
+    except (InputError, FormatError, ShapeError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
     if report_path:

@@ -190,17 +190,15 @@ def _idx_pair(root, split):
     return tuple(pair)
 
 
-def load_mnist(split="train", root=None):
+def load_mnist(split="train"):
     """MNIST from <data_dir>/mnist using the conventional file names."""
-    root = Path(root) if root is not None else data_dir() / "mnist"
-    images, labels = _idx_pair(root, split)
+    images, labels = _idx_pair(data_dir() / "mnist", split)
     return load_idx(images, labels, MNIST_CLASS_NAMES)
 
 
-def load_fashion_mnist(split="train", root=None):
+def load_fashion_mnist(split="train"):
     """Fashion-MNIST from <data_dir>/fashion-mnist (same IDX layout)."""
-    root = Path(root) if root is not None else data_dir() / "fashion-mnist"
-    images, labels = _idx_pair(root, split)
+    images, labels = _idx_pair(data_dir() / "fashion-mnist", split)
     return load_idx(images, labels, FASHION_CLASS_NAMES)
 
 

@@ -249,27 +249,27 @@ def probability_partition(grid):
     }
 
 
-def wp_run(grid, n_steps, snapshot_every=0):
-    """Step a grid from ``wp_init``, collecting density frames and the final partition.
+def wp_run(grid, n_steps, on_frame, snapshot_every=0):
+    """Step a grid from ``wp_init``, handing each density frame over as it is taken.
 
-    ``snapshot_every=0`` keeps only the final frame.  Returns (frames,
-    summary) where frames is a list of (step, density-matrix) pairs.
+    ``on_frame(step, density)`` is called at step 0 and every ``snapshot_every``
+    steps; ``snapshot_every=0`` takes only the final frame.  No frame is kept,
+    so the frames handed over before a diverging step (NumericalFailure) stay
+    with the caller.  Returns the final probability partition as a summary.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
-    frames = []
+    every = snapshot_every or n_steps
     if snapshot_every:
-        frames.append((0, grid.density()))
+        on_frame(0, grid.density())
     for step in range(1, n_steps + 1):
         wp_step(grid)
-        if snapshot_every and step % snapshot_every == 0:
-            frames.append((step, grid.density()))
-    if not snapshot_every:
-        frames.append((n_steps, grid.density()))
+        if step % every == 0:
+            on_frame(step, grid.density())
     summary = probability_partition(grid)
     summary["steps"] = n_steps
     summary["final_norm"] = grid.norm()
-    return frames, summary
+    return summary
 
 
 def frame_to_text(frame, path):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from qtnn import cli, fnn
+from qtnn import cli, fnn, wavepacket
 from qtnn.activation import Activation, activate, qt_transmission
 from qtnn.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, canonical_json, main
+from qtnn.numerics import NumericalFailure
+from qtnn.wavepacket import wp_step
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -149,27 +151,38 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT
 
-    def test_unwritable_report_exit_2(self, tmp_path):
-        code = main(["activation", "--out", str(tmp_path / "c.csv"),
-                     "--report", str(tmp_path / "missing_dir" / "r.json")])
-        assert code == EXIT_NUMERIC
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_unwritable_report_exit_1_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                     name):
+        def not_reached(*args, **kwargs):
+            raise AssertionError(f"{name} ran before its report path was checked")
+
+        monkeypatch.setitem(cli._COMMANDS, name, (not_reached, *cli._COMMANDS[name][1:]))
+        monkeypatch.chdir(tmp_path)  # activation's curve defaults to the working directory
+        flag = "--report" if name == "activation" else "--out"
+        code = main([*name.split(), flag, str(tmp_path / "missing_dir" / "r.json")])
+        assert code == EXIT_INPUT
+        assert one_error_line(capsys).startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["corpus-not-utf8", "corpus-field-too-large", "corpus-dir",
                                       "checkpoint-dir", "activation-out-dir", "spectrum-csv-dir",
-                                      "wavepacket-outdir-file", "esn-forecast-csv-dir"])
+                                      "spectrum-csv-missing-dir", "wavepacket-outdir-file",
+                                      "esn-forecast-csv-dir", "empty-report",
+                                      "checkpoint-is-report", "spectrum-csv-is-report"])
     def test_unusable_path_exit_1_one_line(self, tmp_path, capsys, monkeypatch, case):
         a_dir, a_file, big = tmp_path / "dir", tmp_path / "file.csv", tmp_path / "big.csv"
         a_dir.mkdir()
         a_file.write_bytes(b"text,label\ngood,1\nbad \xff,0\n")
         big.write_text("text,label\ngood,1\n" + "a" * 200_000 + ",0\n", encoding="utf-8")
-        out = str(tmp_path / "r.json")
+        out, same = str(tmp_path / "r.json"), tmp_path / "same.out"
 
         def not_reached(name):
             def fail(*args, **kwargs):
                 raise AssertionError(f"{name} ran before its output path was checked")
             return fail
 
-        for name in ("wp_run", "rnn_train", "esn_fit"):
+        for name in ("wp_run", "rnn_train", "esn_fit", "harmonic_spectrum"):
             monkeypatch.setattr(cli, name, not_reached(name))
         rnn = ["train", "rnn", "--hidden", "4", "--epochs", "1", "--out", out]
         cmd = {
@@ -179,16 +192,28 @@ class TestExitCodes:
             "checkpoint-dir": [*rnn, "--checkpoint", str(a_dir)],
             "activation-out-dir": ["activation", "--out", str(a_dir)],
             "spectrum-csv-dir": ["spectrum", "--csv", str(a_dir), "--out", out],
+            "spectrum-csv-missing-dir": ["spectrum", "--csv", str(tmp_path / "no" / "s.csv"),
+                                         "--out", out],
             "wavepacket-outdir-file": ["wavepacket", "--scenario", "barrier", "--nx", "64",
                                        "--ny", "64", "--steps", "2", "--x0", "3.2",
                                        "--sigma", "0.6", "--barrier-x", "6.4",
                                        "--outdir", str(a_file), "--out", out],
             "esn-forecast-csv-dir": ["esn", "--n", "40", "--forecast-csv", str(a_dir),
                                      "--out", out],
+            "empty-report": ["spectrum", "--out", ""],
+            "checkpoint-is-report": ["train", "rnn", "--epochs", "3", "--checkpoint", str(same),
+                                     "--out", str(same)],
+            "spectrum-csv-is-report": ["spectrum", "--csv", str(a_dir / ".." / same.name),
+                                       "--out", str(same)],
         }[case]
         assert main(cmd) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not same.exists() and not Path(out).exists()
+        if case == "checkpoint-is-report":
+            assert err == f"error: --out and --checkpoint name one file, {str(same)!r}\n"
+        if case == "spectrum-csv-is-report":
+            assert err.startswith("error: --out and --csv name one file")
         if case == "corpus-not-utf8":
             assert err == f"error: {a_file}: byte 22: not UTF-8 text\n"
         if case == "corpus-field-too-large":
@@ -374,6 +399,24 @@ class TestWavepacketCommand:
         pgm = list(outdir.glob("*.pgm"))
         assert len(pgm) == 1
         assert pgm[0].read_bytes().startswith(b"P5\n64 64\n65535\n")
+
+    def test_frames_before_a_diverging_step_stay(self, tmp_path, capsys, monkeypatch):
+        def diverge_at_step_2(grid):
+            if grid.steps_taken == 1:
+                raise NumericalFailure(2, float("nan"))
+            return wp_step(grid)
+
+        monkeypatch.setattr(wavepacket, "wp_step", diverge_at_step_2)
+        outdir = tmp_path / "frames"
+        code = main(["wavepacket", "--nx", "32", "--ny", "32", "--dx", "0.4", "--steps", "3",
+                     "--snapshot-every", "1", "--x0", "3", "--sigma", "0.5",
+                     "--barrier-x", "8", "--outdir", str(outdir),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERIC
+        assert one_error_line(capsys) == "numerical failure: norm nan diverged at step 2"
+        assert sorted(f.name for f in outdir.iterdir()) == ["frame_000000.txt",
+                                                             "frame_000001.txt"]
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestConfigFiles:

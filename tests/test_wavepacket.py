@@ -34,6 +34,14 @@ def reference_step(kinetic, phase, psi):
     return phase * kinetic._solve_rows(out.T.copy()).T.copy()
 
 
+def run_frames(grid, n_steps, snapshot_every=0):
+    """wp_run's summary and the (step, density) frames it hands over."""
+    frames = []
+    summary = wp_run(grid, n_steps, lambda step, frame: frames.append((step, frame)),
+                     snapshot_every=snapshot_every)
+    return frames, summary
+
+
 def small_scenario(**kw):
     base = dict(kind="barrier", barrier_x=6.4, thickness=0.3, v0=15.625,
                 x0=3.2, sigma=0.6, k0x=5.0)
@@ -237,29 +245,37 @@ class TestEdgeGrid:
 
 class TestRun:
     def test_partition_sums_to_one(self):
-        frames, summary = wp_run(wp_init(small_scenario(), **SMALL), 150)
+        frames, summary = run_frames(wp_init(small_scenario(), **SMALL), 150)
         total = summary["reflected"] + summary["residual"] + summary["transmitted"]
         assert abs(total - 1.0) < 1e-4
         assert len(frames) == 1
 
     def test_sub_barrier_transmission_fraction(self):
-        _, summary = wp_run(wp_init(small_scenario(), **SMALL), 300)
+        _, summary = run_frames(wp_init(small_scenario(), **SMALL), 300)
         assert 0.0 < summary["transmitted"] < 0.5
 
     def test_snapshot_cadence(self):
-        frames, _ = wp_run(wp_init(small_scenario(), **SMALL), 100, snapshot_every=25)
+        frames, _ = run_frames(wp_init(small_scenario(), **SMALL), 100, snapshot_every=25)
         assert [s for s, _ in frames] == [0, 25, 50, 75, 100]
+
+    def test_each_frame_is_handed_over_when_taken(self):
+        # the caller gets step k's frame before step k + 1 runs, so no frame is held
+        grid = wp_init(small_scenario(), nx=32, ny=32, dx=0.4, dt=0.005)
+        taken = []
+        wp_run(grid, 4, lambda step, frame: taken.append((step, grid.steps_taken)),
+               snapshot_every=1)
+        assert taken == [(k, k) for k in range(5)]
 
     def test_double_slit_stays_symmetric(self):
         scenario = small_scenario(kind="double_slit", slit_width=0.4, slit_sep=1.2,
                                   v0=20.0)
-        frames, _ = wp_run(wp_init(scenario, **SMALL), 150)
+        frames, _ = run_frames(wp_init(scenario, **SMALL), 150)
         final = frames[-1][1]
         assert np.abs(final - final[:, ::-1]).max() < 1e-6
 
     def test_bad_steps(self):
         with pytest.raises(InputError):
-            wp_run(wp_init(small_scenario(), **SMALL), 0)
+            run_frames(wp_init(small_scenario(), **SMALL), 0)
 
     def test_four_phase_sequence_at_default_scale(self, barrier_run):
         # approach, barrier interaction, then a reflected/transmitted split
@@ -315,22 +331,22 @@ class TestRun:
             if step in (3, 6):
                 assert run.grid(step).psi.tobytes() == grid.psi.tobytes()
                 assert run.grid(step).steps_taken == step
-        frames, _ = wp_run(wp_init(scenario, **SMALL), 6, snapshot_every=3)
+        frames, _ = run_frames(wp_init(scenario, **SMALL), 6, snapshot_every=3)
         for step, frame in frames:
             assert run.grid(step).density().tobytes() == frame.tobytes()
 
     def test_grid_refinement_transmission_stable(self):
         # halving dx and dt moves the transmitted fraction by < 5%
         scenario = small_scenario()
-        _, coarse = wp_run(wp_init(scenario, **SMALL), 300)
-        _, fine = wp_run(wp_init(scenario, nx=256, ny=256, dx=0.05, dt=0.0025), 600)
+        _, coarse = run_frames(wp_init(scenario, **SMALL), 300)
+        _, fine = run_frames(wp_init(scenario, nx=256, ny=256, dx=0.05, dt=0.0025), 600)
         rel = abs(fine["transmitted"] - coarse["transmitted"]) / fine["transmitted"]
         assert rel < 0.05
 
 
 class TestExports:
     def test_text_round_trip(self, tmp_path):
-        frames, _ = wp_run(wp_init(small_scenario(), nx=32, ny=32, dx=0.4, dt=0.005), 5)
+        frames, _ = run_frames(wp_init(small_scenario(), nx=32, ny=32, dx=0.4, dt=0.005), 5)
         path = tmp_path / "frame.txt"
         frame_to_text(frames[0][1], path)
         back = np.loadtxt(path)
