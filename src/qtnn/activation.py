@@ -72,9 +72,9 @@ class BarrierParams:
     mode: str = "rectified"
 
     def __post_init__(self):
-        for name in ("v0", "a", "m", "hbar", "ampl"):
-            if not getattr(self, name) > 0.0:
-                raise InputError(f"BarrierParams.{name} must be positive")
+        for name in ("v0", "a", "m", "hbar", "ampl"):  # 2 ampl is bipolar's slope scale
+            if not 0.0 < 2.0 * getattr(self, name) < math.inf:
+                raise InputError(f"BarrierParams.{name} must be positive and below 8.9e307")
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         # the constants the kernel reads, derived once; they and the slope at

@@ -205,9 +205,9 @@ def _last(values):
     return values[-1] if values else None
 
 
-def _check_outputs(outputs):
+def _check_outputs(outputs, compared_only=()):
     """Reject an output {flag: path or None} that cannot be written or repeats a file."""
-    seen = {}
+    seen = {Path(path).resolve(): label for label, path in compared_only}
     for flag, path in outputs.items():
         if path is None:
             continue
@@ -345,8 +345,7 @@ def _cmd_esn(cfg, args):
     try:
         esn_fit(model, train)
     except SingularMatrixError as err:  # name the flag, not esn_build's ridge_lambda
-        raise SingularMatrixError(err.pivot_index, err.value,
-                                  "state Gram matrix is singular, use --ridge > 0") from None
+        raise SingularMatrixError(str(err).replace("ridge_lambda", "--ridge")) from None
     forecast = esn_free_run(model, train, horizon)
     artifacts = []
     if cfg["forecast_csv"]:
@@ -523,7 +522,9 @@ def main(argv=None):
         cfg = _merge_config(args.rows, args)
         report_path = vars(args).get("report", args.out)  # activation's --out is its curve
         _check_outputs({"--out": args.out, "--report": vars(args).get("report"), **{
-            "--" + key.replace("_", "-"): cfg[key] for key, kind, *_ in args.rows if kind is PATH}})
+            "--" + key.replace("_", "-"): cfg[key] for key, kind, *_ in args.rows if kind is PATH}},
+            [("the --outdir manifest", Path(cfg["outdir"], "manifest.json"))]
+            if "outdir" in cfg else ())
         body = args.func(cfg, args)
         report = {"command": ["qtnn", *argv], "config": cfg, **body,
                   "wall_clock_sec": time.perf_counter() - started}

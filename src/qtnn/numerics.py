@@ -32,13 +32,7 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A factorization hit a non-positive pivot; carries the pivot index and an optional hint."""
-
-    def __init__(self, pivot_index, value, hint=None):
-        self.pivot_index = pivot_index
-        self.value = value
-        super().__init__(f"matrix is not positive definite: pivot {pivot_index} = {value:.6g}"
-                         + (f"; {hint}" if hint else ""))
+    """A factorization met a matrix that is not positive definite; the message may end in a hint."""
 
 
 class InputError(ValueError):
@@ -77,8 +71,8 @@ def cholesky(a):
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
     LAPACK's factorization through ``np.linalg.cholesky``; only the lower
-    triangle of ``a`` is read.  Raises :class:`SingularMatrixError` naming
-    the first non-positive pivot.
+    triangle of ``a`` is read.  Raises :class:`SingularMatrixError` if ``a``
+    is not positive definite.
     """
     a = as_matrix(a, "A")
     n, m = a.shape
@@ -87,28 +81,7 @@ def cholesky(a):
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(*_first_bad_pivot(a)) from None
-
-
-def _first_bad_pivot(a):
-    """(index, value) of the first pivot at which ``a``'s factorization fails.
-
-    LAPACK reports only that the factorization failed, so the order of the
-    first leading block that is not positive definite is found by bisection
-    over factorizations of leading blocks; the pivot value is the Schur
-    complement of the block before it.  Runs only on the error path.
-    """
-    good, bad, low = 0, a.shape[0], np.empty((0, 0))
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            low = np.linalg.cholesky(a[:mid, :mid])
-            good = mid
-        except np.linalg.LinAlgError:
-            bad = mid
-    k = bad - 1
-    w = np.linalg.solve(low, a[k, :k]) if k else np.empty(0)
-    return k, float(a[k, k] - w @ w)
+        raise SingularMatrixError("matrix is not positive definite") from None
 
 
 def _cholesky_solve(low, b):
@@ -130,7 +103,7 @@ def solve_spd(a, b):
     triangular solves, blocked by 64 rows, one step of fixed-precision
     iterative refinement (X += solve(B - A X)) takes the residual of the
     first solution back through the same factor.  Raises
-    :class:`SingularMatrixError` on a non-positive pivot.
+    :class:`SingularMatrixError` if A is not positive definite.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")

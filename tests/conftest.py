@@ -172,5 +172,5 @@ def barrier_run():
 
 @pytest.fixture(scope="session")
 def double_slit_run():
-    """The default double slit, to 700 steps (c10 and the fringes)."""
-    return Trajectory(Scenario(kind="double_slit", slit_width=1.0, slit_sep=3.0), {300, 700})
+    """The default double slit, to 700 steps (c10, the fringes and the text frames)."""
+    return Trajectory(Scenario(kind="double_slit", slit_width=1.0, slit_sep=3.0), {100, 300, 700})

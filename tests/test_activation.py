@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from conftest import lattice_transmission
 from qtnn.activation import (
     _BLOCK,
+    MODES,
     _transmission,
     Activation,
     BarrierParams,
@@ -210,6 +213,27 @@ class TestTransmissionProperties:
     def test_non_finite_derived_constant_rejected(self, overrides):
         with pytest.raises(InputError, match="non-finite constant"):
             BarrierParams(**overrides)
+
+    @pytest.mark.parametrize("name", ["v0", "a", "m", "hbar", "ampl"])
+    def test_edge_value_grid_raises_or_stays_finite(self, name):
+        # each parameter alone at the edges of float64, in every mode; inputs
+        # are seeded draws on [0, 10] and both ends
+        x = np.concatenate([[0.0, 10.0], np.random.default_rng(26).uniform(0.0, 10.0, 200)])
+        accepted = 0
+        for value, mode in itertools.product(
+                [5e-324, 1e-300, 1e300, 1.7e308, math.inf, math.nan], MODES):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    p = BarrierParams(**{name: value}, mode=mode)
+                except InputError:
+                    continue
+                y, dy = activate(x, Activation.qt(p))
+            assert all(map(math.isfinite, vars(p._derived).values())), (value, mode)
+            assert np.isfinite(y).all() and np.isfinite(dy).all(), (value, mode)
+            accepted += 1
+        # m = 1e-300 and ampl from 5e-324 to 1e300 are usable barriers
+        assert accepted == {"m": 3, "ampl": 9}.get(name, 0)
 
     @pytest.mark.parametrize("v0", [0.7, 1.0, 2.0, 3.0, 7.3])
     def test_no_gap_at_window_edges(self, v0):

@@ -1,5 +1,4 @@
 import json
-import re
 import warnings
 from pathlib import Path
 
@@ -418,6 +417,25 @@ class TestWavepacketCommand:
                                                              "frame_000001.txt"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("outdir, out", [("fr", "fr/manifest.json"),
+                                             ("fr", "./fr/../fr/manifest.json"),
+                                             (".", "manifest.json")])
+    def test_report_on_the_manifest_exit_1_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                           outdir, out):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("wp_run ran before the manifest path was checked")
+
+        monkeypatch.setattr(cli, "wp_run", not_reached)
+        monkeypatch.chdir(tmp_path)
+        Path("fr").mkdir()
+        code = main(["wavepacket", "--nx", "32", "--ny", "32", "--dx", "0.4", "--steps", "3",
+                     "--x0", "3", "--sigma", "0.5", "--barrier-x", "8", "--outdir", outdir,
+                     "--out", out])
+        assert code == EXIT_INPUT
+        assert one_error_line(capsys) == (
+            f"error: the --outdir manifest and --out name one file, {out!r}")
+        assert [p.name for p in tmp_path.rglob("*")] == ["fr"]
+
 
 class TestConfigFiles:
     def test_file_then_flag_precedence(self, tmp_path):
@@ -591,10 +609,8 @@ class TestEsnDivergence:
         code = main(["esn", "--act", "tanh", "--n", "300", "--ridge", "0", "--train", "200",
                      "--washout", "100", "--horizon", "10", "--out", str(tmp_path / "r.json")])
         assert code == EXIT_NUMERIC
-        # the pivot's index and rounding-level value depend on the BLAS, the hint does not
-        assert re.fullmatch(r"numerical failure: matrix is not positive definite: pivot \d+ = "
-                            r"\S+; state Gram matrix is singular, use --ridge > 0",
-                            one_error_line(capsys))
+        assert one_error_line(capsys) == ("numerical failure: matrix is not positive definite; "
+                                          "state Gram matrix is singular, use --ridge > 0")
         assert not (tmp_path / "r.json").exists()
 
 

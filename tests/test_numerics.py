@@ -61,13 +61,13 @@ class TestSolveSpd:
         oracle = np.linalg.solve(a, b)
         assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    def test_non_positive_pivot_names_index(self):
+    def test_not_positive_definite_raises_one_line(self):
         a = np.eye(3)
         a[1, 1] = -2.0
         with pytest.raises(SingularMatrixError) as err:
             solve_spd(a, np.ones((3, 1)))
-        assert err.value.pivot_index == 1
-        assert err.value.value == -2.0
+        assert str(err.value) == "matrix is not positive definite"
+        assert err.value.__cause__ is None
         # n = 300, positive definite except that the Schur complement at
         # index k is -0.5, so the leading minor of order k + 1 goes negative
         rng = np.random.default_rng(13)
@@ -77,10 +77,8 @@ class TestSolveSpd:
             a = spd.copy()
             head = np.linalg.solve(np.linalg.cholesky(a[:k, :k]), a[k, :k]) if k else []
             a[k, k] = np.dot(head, head) - 0.5
-            with pytest.raises(SingularMatrixError) as err:
+            with pytest.raises(SingularMatrixError, match="^matrix is not positive definite$"):
                 solve_spd(a, np.ones((300, 1)))
-            assert err.value.pivot_index == k
-            assert err.value.value == pytest.approx(-0.5, abs=1e-6)
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -353,6 +353,80 @@ class TestExports:
         assert back.shape == (32, 32)
         assert np.allclose(back, frames[0][1], rtol=1e-9)
 
+    @staticmethod
+    def assert_text_is_savetxt(frame, tmp_path, monkeypatch=None):
+        """frame_to_text writes np.savetxt's bytes; with monkeypatch, without calling it."""
+        np.savetxt(tmp_path / "savetxt.txt", frame, fmt="%.10e")
+        if monkeypatch:
+            monkeypatch.setattr(np, "savetxt", None)  # every block must take the NumPy path
+        frame_to_text(frame, tmp_path / "frame.txt")
+        assert (tmp_path / "frame.txt").read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+
+    @pytest.mark.parametrize("step", [0, 100, 300])
+    def test_text_of_benchmark_frames_is_savetxt(self, tmp_path, monkeypatch, double_slit_run,
+                                                 step):
+        frame = double_slit_run.grid(step).density()
+        self.assert_text_is_savetxt(frame, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_text_of_log_uniform_grids_is_savetxt(self, tmp_path, monkeypatch, seed):
+        frame = 10.0 ** np.random.default_rng(seed).uniform(-99, 99, (100, 400))
+        frame[frame >= 1e99] = 1.0  # 10**98.99... can round up to 1e99
+        self.assert_text_is_savetxt(frame, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_text_of_decimal_midpoints_is_savetxt(self, tmp_path, monkeypatch, seed):
+        # (D + 0.5) 10**k lies at or within rounding of a tie between two
+        # 11-digit mantissas; k = 0 gives exact ties, which round half to even
+        rng = np.random.default_rng(seed)
+        d = rng.integers(10**10, 10**11, 20000) + 0.5
+        k = rng.integers(-109, 88, 20000)
+        k[::4] = 0
+        self.assert_text_is_savetxt((d * 10.0 ** k).reshape(50, 400), tmp_path, monkeypatch)
+
+    def test_text_of_edge_values_is_savetxt(self, tmp_path, monkeypatch):
+        # ties, carries into the next power of ten, the ends of the range and
+        # values a few ulp either side of a power of ten
+        edges = [0.0, 1.0, 9.99999999995, 9.999999999949999, 9.99999999997, 1e-99,
+                 9.99999999995e98, 9.99999999999e98, 1e-5, np.nextafter(1e-5, 0), 1e20,
+                 np.nextafter(1e20, 0), np.nextafter(1e20, 1e21), 9.999999999999999e-5]
+        self.assert_text_is_savetxt(np.tile(edges, (3, 2)), tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("value", [1e-100, 1e100, 5e-324, -1.0, -0.0, np.nan, np.inf,
+                                       -np.inf])
+    def test_text_of_other_values_is_savetxt(self, tmp_path, value):
+        # 40 rows of 400 are two blocks; the value sends the second to np.savetxt
+        frame = np.full((40, 400), 0.25)
+        frame[30, 7] = value
+        self.assert_text_is_savetxt(frame, tmp_path)
+
+    @pytest.mark.parametrize("layout", ["wide", "transposed", "reversed"])
+    def test_text_of_strided_and_wide_frames_is_savetxt(self, tmp_path, monkeypatch, layout):
+        rng = np.random.default_rng(7)
+        frame = {"wide": lambda: rng.random((3, 20000)),  # one row is wider than a block
+                 "transposed": lambda: rng.random((300, 200)).T,
+                 "reversed": lambda: rng.random((300, 200))[::-2, ::-1]}[layout]()
+        self.assert_text_is_savetxt(frame, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("frame", [np.empty((0, 5)), np.empty((4, 0)), np.linspace(1, 2, 50),
+                                       np.full((2, 3), 0.5, dtype=np.float32)])
+    def test_text_of_other_arrays_is_savetxt(self, tmp_path, frame):
+        self.assert_text_is_savetxt(frame, tmp_path)
+
+    def test_text_allocates_under_one_mib(self, tmp_path, double_slit_run):
+        frame = double_slit_run.grid(100).density()
+        frame_to_text(frame, tmp_path / "warm.txt")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frame_to_text(frame, tmp_path / "frame.txt")
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's temporaries, not a frame's 2.7 MB of text
+        assert peak - base <= 2**20
+        assert now - base < 1024
+
     def test_pgm16_header_and_peak(self, tmp_path):
         frame = np.array([[0.0, 0.5], [1.0, 0.25]])
         path = tmp_path / "frame.pgm"
